@@ -61,7 +61,7 @@ from repro.errors import (
     RemoteJobFailed,
     RemoteTimeout,
 )
-from repro.service.jobs import JobRecord
+from repro.fleet.jobstore import JobRecord
 from repro import telemetry
 
 

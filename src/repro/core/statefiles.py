@@ -237,7 +237,8 @@ class StateStore:
         return trace_path(self.root, deployment_name)
 
     def jobs_dir(self) -> str:
-        """Where the service's job manager persists its job records."""
+        """Where pre-fleet servers kept their JSON job records (imported
+        once into ``fleet.sqlite`` at service start-up)."""
         return os.path.join(self.root, "jobs")
 
     # -- data stores -------------------------------------------------------------

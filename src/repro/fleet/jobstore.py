@@ -1,10 +1,16 @@
-"""The fleet's job queue: one SQLite table, claimed by lease.
+"""The job queue: one SQLite table, claimed by lease.
 
-The single-process service keeps job records as JSON files that only
-their own :class:`~repro.service.jobs.JobManager` reads.  The fleet
-moves them into one WAL-mode SQLite database per state directory
-(``<state-dir>/fleet.sqlite``) so *any* worker — thread or process —
-sees one queue:
+This module owns the job record format (:class:`JobRecord`).  Every
+record is a row in one WAL-mode SQLite database per state directory
+(``<state-dir>/fleet.sqlite``), so *any* worker — thread or process —
+sees one queue.  The lifecycle::
+
+    queued -> running -> done
+                      -> failed
+    queued ----------> cancelled         (cancelled before a worker took it)
+    running ---------> cancelled         (cooperative, between scenarios)
+    running ---------> stale             (crash-looper, or a dead pre-fleet
+                                          server's record on import)
 
 * **Atomic claim** — :meth:`FleetJobStore.claim` takes the oldest
   claimable job inside a single ``BEGIN IMMEDIATE`` transaction, so two
@@ -37,7 +43,8 @@ sees one queue:
   corrupting the winner's record.
 
 The store also keeps a ``workers`` registry (pid + heartbeat per server
-worker) that powers the fleet-aware ``/healthz``.
+worker) that powers the fleet-aware ``/healthz``, and imports pre-fleet
+``jobs/<id>.json`` records once (:meth:`FleetJobStore.import_legacy_jobs`).
 """
 
 from __future__ import annotations
@@ -48,21 +55,72 @@ import sqlite3
 import threading
 import time
 import uuid
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
+from repro.api.requests import CollectRequest, PredictRequest
+from repro.api.serde import DictMixin
 from repro.errors import (
     ConfigError,
     JobNotFound,
     JobStateError,
     LeaseLost,
-)
-from repro.service.jobs import (
-    JOB_KINDS,
-    JOB_STATES,
-    TERMINAL_STATES,
-    JobRecord,
+    ReproError,
 )
 from repro import telemetry
+
+#: States a job can be observed in.
+JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "stale")
+
+#: States a job never leaves.
+TERMINAL_STATES = frozenset({"done", "failed", "cancelled", "stale"})
+
+#: Job kinds a worker knows how to execute.
+JOB_KINDS = ("collect", "predict")
+
+
+class JobCancelled(ReproError):
+    """Raised inside a worker when its job's cancel flag is set."""
+
+
+@dataclass(frozen=True)
+class JobRecord(DictMixin):
+    """One job's full, JSON-round-trippable state."""
+
+    id: str
+    kind: str = "collect"
+    deployment: str = ""
+    state: str = "queued"
+    #: The submitted request as a plain dict (CollectRequest/PredictRequest
+    #: shaped, depending on ``kind``).
+    request: Dict[str, Any] = field(default_factory=dict)
+    created_at: float = 0.0
+    started_at: Optional[float] = None
+    finished_at: Optional[float] = None
+    #: The result payload (CollectResult/PredictResult shaped) once done.
+    result: Optional[Dict[str, Any]] = None
+    error: str = ""
+    #: Live counters while running: executed/completed/failed/skipped/
+    #: predicted/total plus the task-level simulated span so far
+    #: (``simulated_wall_s``).
+    progress: Dict[str, Any] = field(default_factory=dict)
+    #: Which worker currently owns (or last owned) the job.
+    worker_id: str = ""
+    #: Wall-clock deadline of the owning worker's lease; renewed while
+    #: the job runs.  An expired lease is the one and only signal that
+    #: the owning worker is dead.
+    lease_expires_at: Optional[float] = None
+    #: How many times a worker has claimed this job (>1 after recovery).
+    attempts: int = 0
+    #: Serialized span context (W3C ``traceparent``) of the submitting
+    #: request; the claiming worker — possibly another process — adopts
+    #: it so client, router, job, and sweep spans share one trace id.
+    trace: str = ""
+
+    @property
+    def finished(self) -> bool:
+        return self.state in TERMINAL_STATES
+
 
 #: File name of the fleet database inside a state directory.
 DB_FILENAME = "fleet.sqlite"
@@ -529,8 +587,6 @@ class FleetJobStore:
     def _write_locked(self, record: JobRecord, **changes) -> JobRecord:
         """Apply ``changes`` and persist row + payload (caller holds the
         lock and an open transaction)."""
-        from dataclasses import replace
-
         updated = replace(record, **changes)
         self._conn.execute(
             "UPDATE jobs SET kind = ?, deployment = ?, state = ?,"
@@ -642,8 +698,6 @@ class FleetJobStore:
             lease = record.lease_expires_at
             if record.state == "running" and (
                     lease is None or lease <= time.time()):
-                from dataclasses import replace
-
                 record = replace(
                     record, state="stale", finished_at=time.time(),
                     lease_expires_at=None,
@@ -681,8 +735,6 @@ def new_job_record(kind: str, request: Dict[str, Any],
     (``traceparent``); persisting it on the record is what stitches the
     submitting process's trace to the claiming worker process's spans.
     """
-    from repro.api.requests import CollectRequest, PredictRequest
-
     if kind not in JOB_KINDS:
         raise ConfigError(
             f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"

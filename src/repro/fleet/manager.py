@@ -1,11 +1,9 @@
-"""The fleet's job executor: JobManager surface over the shared store.
+"""The job executor: the service's one job manager, over the shared store.
 
-:class:`FleetJobManager` is what a fleet *worker process* runs: the same
-``submit / get / list / counts / cancel / wait / close`` surface the
-router already speaks (so it drops into :class:`ServiceState.jobs`
-unchanged), but with every record living in the shared
-:class:`~repro.fleet.jobstore.FleetJobStore` instead of per-process
-JSON.  Consequences:
+:class:`FleetJobManager` is what every server process runs as its
+:class:`ServiceState.jobs`: the ``submit / get / list / counts / cancel
+/ wait / close`` surface the router speaks, with every record living in
+the shared :class:`~repro.fleet.jobstore.FleetJobStore`.  Consequences:
 
 * a job submitted through any worker can be executed by any worker;
 * a worker that dies mid-job (``kill -9`` included) loses its lease and
@@ -33,15 +31,18 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.requests import CollectRequest, PredictRequest
 from repro.errors import ConfigError, JobStateError, LeaseLost, ReproError
-from repro.fleet.jobstore import FleetJobStore, new_job_record
-from repro.service.jobs import JobCancelled, JobRecord
+from repro.fleet.jobstore import (
+    FleetJobStore,
+    JobCancelled,
+    JobRecord,
+    new_job_record,
+)
 from repro import telemetry
 
 #: Environment knob: seconds slept per progress event (load shaping).
 SCENARIO_DELAY_ENV = "REPRO_FLEET_SCENARIO_DELAY_S"
 
-#: Shared lifecycle family — same name the legacy JobManager uses, so
-#: dashboards see one stream whichever queue implementation serves.
+#: Job lifecycle transitions, by kind and entered state.
 _TRANSITIONS = telemetry.global_registry().counter(
     "advisor_jobs_transitions_total",
     "Job lifecycle transitions, by kind and entered state.",
@@ -59,9 +60,9 @@ class _JobControl:
 class FleetJobManager:
     """Store-backed job manager (module docstring).
 
-    Parameters mirror :class:`~repro.service.jobs.JobManager` where they
-    overlap; ``store`` is the shared queue, ``worker_id`` names this
-    process in job records and the worker registry.
+    ``store`` is the shared queue; ``worker_id`` names this process in
+    job records and the worker registry; ``retention`` caps how many
+    finished jobs the store keeps.
     """
 
     #: Minimum seconds between progress writes to the store per job;
@@ -110,7 +111,7 @@ class FleetJobManager:
         )
         self._heartbeat_thread.start()
 
-    # -- JobManager surface ------------------------------------------------------
+    # -- job surface -------------------------------------------------------------
 
     def submit(self, kind: str, request: Dict[str, Any],
                trace: str = "") -> JobRecord:

@@ -236,7 +236,9 @@ class TestServiceCli:
         from repro.service.app import make_server
 
         server = make_server(collected, port=0, workers=2)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
         thread.start()
         yield f"http://127.0.0.1:{server.server_address[1]}"
         server.shutdown()

@@ -18,8 +18,9 @@ from repro.client import (
     RemoteTimeout,
 )
 from repro.errors import ConfigError
+from repro.fleet.jobstore import FleetJobStore, fleet_db_path
+from repro.fleet.manager import FleetJobManager
 from repro.service.app import make_server
-from repro.service.jobs import JobManager
 from repro.service.router import ServiceState
 from repro.api.session import AdvisorSession
 from tests.conftest import make_config
@@ -28,7 +29,9 @@ from tests.conftest import make_config
 @pytest.fixture
 def server(tmp_path):
     srv = make_server(str(tmp_path / "state"), port=0, workers=2)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever,
+                              kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield srv
     srv.shutdown()
@@ -166,11 +169,14 @@ class TestTimeouts:
             make_config(rgprefix="slowrg"))
         state = ServiceState(
             session=AdvisorSession(state_dir=state_dir),
-            jobs=JobManager(jobs_dir=str(tmp_path / "state" / "jobs"),
-                            session_factory=BlockedSession, workers=1),
+            jobs=FleetJobManager(FleetJobStore(fleet_db_path(state_dir)),
+                                 session_factory=BlockedSession, workers=1,
+                                 owns_store=True),
         )
         server = make_server(state_dir, port=0, state=state)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
         thread.start()
         try:
             port = server.server_address[1]
@@ -207,11 +213,14 @@ class TestTimeouts:
         info = control.deploy(make_config(rgprefix="failrg"))
         state = ServiceState(
             session=AdvisorSession(state_dir=state_dir),
-            jobs=JobManager(jobs_dir=str(tmp_path / "state" / "jobs"),
-                            session_factory=FailingSession, workers=1),
+            jobs=FleetJobManager(FleetJobStore(fleet_db_path(state_dir)),
+                                 session_factory=FailingSession, workers=1,
+                                 owns_store=True),
         )
         server = make_server(state_dir, port=0, state=state)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
         thread.start()
         try:
             port = server.server_address[1]
@@ -253,11 +262,14 @@ class TestCancelOverTheWire:
         info_b = control.deploy(make_config(rgprefix="cxbrg"))
         state = ServiceState(
             session=AdvisorSession(state_dir=state_dir),
-            jobs=JobManager(jobs_dir=str(tmp_path / "state" / "jobs"),
-                            session_factory=BlockedSession, workers=1),
+            jobs=FleetJobManager(FleetJobStore(fleet_db_path(state_dir)),
+                                 session_factory=BlockedSession, workers=1,
+                                 owns_store=True),
         )
         server = make_server(state_dir, port=0, state=state)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
         thread.start()
         try:
             port = server.server_address[1]

@@ -18,8 +18,12 @@ from repro.errors import (
     JobStateError,
     LeaseLost,
 )
-from repro.fleet.jobstore import FleetJobStore, fleet_db_path, new_job_record
-from repro.service.jobs import JobRecord
+from repro.fleet.jobstore import (
+    FleetJobStore,
+    JobRecord,
+    fleet_db_path,
+    new_job_record,
+)
 
 
 @pytest.fixture
@@ -379,14 +383,23 @@ class TestLegacyImport:
         dead = JobRecord(id="job-old-run", kind="collect",
                          deployment="dep-001", state="running",
                          request={"deployment": "dep-001"}, created_at=1.0)
-        (jobs_dir / "job-old-done.json").write_text(done.to_json())
-        (jobs_dir / "job-old-run.json").write_text(dead.to_json())
+        # A sibling server sharing the state dir still holds this one.
+        live = JobRecord(id="job-sibling", kind="collect",
+                         deployment="dep-002", state="running",
+                         request={"deployment": "dep-002"}, created_at=1.0,
+                         worker_id="sibling-server",
+                         lease_expires_at=time.time() + 300)
+        for record in (done, dead, live):
+            (jobs_dir / f"{record.id}.json").write_text(record.to_json())
         (jobs_dir / "garbage.json").write_text("{not json")
 
-        assert store.import_legacy_jobs(str(jobs_dir)) == 2
+        assert store.import_legacy_jobs(str(jobs_dir)) == 3
         assert store.get("job-old-done").state == "done"
         stale = store.get("job-old-run")
         assert stale.state == "stale"
+        kept = store.get("job-sibling")
+        assert kept.state == "running"
+        assert kept.worker_id == "sibling-server"
         assert (jobs_dir / "job-old-done.json.migrated").exists()
         assert not (jobs_dir / "job-old-done.json").exists()
         # Idempotent: a sibling worker importing again is a no-op.

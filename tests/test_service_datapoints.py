@@ -163,7 +163,9 @@ class TestRemoteSessionMirror:
 
         server = make_server(str(tmp_path / "state"),
                              host="127.0.0.1", port=0, workers=2)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
         thread.start()
         try:
             yield f"http://127.0.0.1:{server.server_address[1]}"

@@ -29,6 +29,7 @@ class LiveServer:
         self.server = make_server(self.state_dir, port=0,
                                   workers=self.workers)
         self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.05},
                                        daemon=True)
         self.thread.start()
         return self

@@ -254,7 +254,8 @@ class TestShutdownGuards:
         import os
         import threading
 
-        from repro.service.jobs import JobManager
+        from repro.fleet.jobstore import FleetJobStore, fleet_db_path
+        from repro.fleet.manager import FleetJobManager
         from repro.service.router import Router, ServiceState
 
         gate = threading.Event()
@@ -271,10 +272,13 @@ class TestShutdownGuards:
         info = deploy(router, prefix="guardrg")
         state = ServiceState(
             session=router.state.session,
-            jobs=JobManager(
-                jobs_dir=os.path.join(
-                    router.state.session.store.root, "jobs-g"),
-                session_factory=BlockedSession, workers=1),
+            # A queue of its own, so the fixture's workers (real
+            # sessions) cannot claim the blocked job.
+            jobs=FleetJobManager(
+                FleetJobStore(fleet_db_path(os.path.join(
+                    router.state.session.store.root, "guard"))),
+                session_factory=BlockedSession, workers=1,
+                owns_store=True),
         )
         guarded = Router(state)
         try:
@@ -304,8 +308,8 @@ class TestBindFailure:
         import socket
         import threading
 
+        from repro.fleet.jobstore import JobRecord
         from repro.service.app import make_server
-        from repro.service.jobs import JobRecord
 
         jobs_dir = tmp_path / "state" / "jobs"
         jobs_dir.mkdir(parents=True)

@@ -1,7 +1,12 @@
-"""Job manager tests: lifecycle, persistence, concurrency, edge cases."""
+"""Service job tests: lifecycle, persistence, concurrency, edge cases.
 
-import json
-import os
+Every server runs one job path — a :class:`FleetJobManager` over the
+state directory's ``fleet.sqlite`` queue, after a one-shot import of
+pre-fleet ``jobs/*.json`` records — and these tests drive it the way
+:func:`~repro.service.app.build_state` wires it, with a fake session
+where the real pipeline is not the point.
+"""
+
 import threading
 import time
 
@@ -9,11 +14,14 @@ import pytest
 
 from repro.api.results import CollectResult
 from repro.errors import ConfigError, JobNotFound, JobStateError
-from repro.service.jobs import (
+from repro.fleet.jobstore import (
     TERMINAL_STATES,
-    JobManager,
+    FleetJobStore,
     JobRecord,
+    fleet_db_path,
 )
+from repro.fleet.manager import FleetJobManager
+from repro.service.app import build_state
 
 
 class FakeSession:
@@ -61,13 +69,37 @@ class _FakeReport:
         self.simulated_wall_s = float(executed)
 
 
-def make_manager(tmp_path, session=None, workers=2, **kwargs):
-    return JobManager(
-        jobs_dir=str(tmp_path / "jobs"),
+def make_manager(tmp_path, session=None, workers=2, lease_s=None,
+                 **kwargs):
+    """The service's job path over state dir ``tmp_path``, as
+    ``build_state`` wires it, but running ``session``."""
+    store = FleetJobStore(fleet_db_path(str(tmp_path)), lease_s=lease_s)
+    store.import_legacy_jobs(str(tmp_path / "jobs"))
+    return FleetJobManager(
+        store,
         session_factory=lambda: session or FakeSession(),
         workers=workers,
+        poll_s=0.02,
+        owns_store=True,
         **kwargs,
     )
+
+
+def read_back(tmp_path, job_id):
+    """``job_id`` as a fresh handle on the queue (another process) sees it."""
+    store = FleetJobStore(fleet_db_path(str(tmp_path)))
+    try:
+        return store.get(job_id)
+    finally:
+        store.close()
+
+
+def write_legacy(tmp_path, record):
+    """Leave ``record`` where a pre-fleet server kept its job records."""
+    jobs_dir = tmp_path / "jobs"
+    jobs_dir.mkdir(exist_ok=True)
+    (jobs_dir / f"{record.id}.json").write_text(record.to_json())
+    return jobs_dir
 
 
 class TestJobRecord:
@@ -109,6 +141,7 @@ class TestSubmitAndRun:
     def test_progress_counters_update(self, tmp_path):
         manager = make_manager(tmp_path,
                                session=FakeSession(progress_steps=3))
+        manager.PROGRESS_FLUSH_INTERVAL_S = 0.0  # store every event
         record = manager.submit("collect", {"deployment": "d-000"})
         final = manager.wait(record.id, timeout=10)
         assert final.progress["executed"] == 3
@@ -145,12 +178,11 @@ class TestPersistence:
     def test_every_transition_is_on_disk(self, tmp_path):
         manager = make_manager(tmp_path)
         record = manager.submit("collect", {"deployment": "d-000"})
+        assert read_back(tmp_path, record.id).id == record.id
         manager.wait(record.id, timeout=10)
-        path = tmp_path / "jobs" / f"{record.id}.json"
-        assert path.exists()
-        on_disk = json.loads(path.read_text())
-        assert on_disk["state"] == "done"
-        assert on_disk["result"]["completed"] == 2
+        on_disk = read_back(tmp_path, record.id)
+        assert on_disk.state == "done"
+        assert on_disk.result["completed"] == 2
         manager.close()
 
     def test_restart_lists_finished_jobs(self, tmp_path):
@@ -164,91 +196,93 @@ class TestPersistence:
         reborn.close()
 
     def test_restart_marks_running_job_stale(self, tmp_path):
-        """A `running` record from a dead server must surface as stale,
-        not hang forever."""
-        jobs_dir = tmp_path / "jobs"
-        jobs_dir.mkdir()
+        """A `running` record from a dead pre-fleet server must surface
+        as stale, not hang forever."""
         orphan = JobRecord(id="job-dead", kind="collect",
                            deployment="d-000", state="running",
                            request={"deployment": "d-000"}, created_at=1.0)
-        (jobs_dir / "job-dead.json").write_text(orphan.to_json())
+        jobs_dir = write_legacy(tmp_path, orphan)
         manager = make_manager(tmp_path)
         record = manager.get("job-dead")
         assert record.state == "stale"
-        assert "restarted" in record.error
+        assert "dead server" in record.error
         assert record.finished  # wait() would return immediately
-        # ... and the new state is persisted for the next restart too.
-        assert json.loads(
-            (jobs_dir / "job-dead.json").read_text())["state"] == "stale"
+        # ... and the new state is in the queue for the next restart;
+        # the JSON file is retired so it is never imported twice.
+        assert read_back(tmp_path, "job-dead").state == "stale"
+        assert (jobs_dir / "job-dead.json.migrated").exists()
+        assert not (jobs_dir / "job-dead.json").exists()
         manager.close()
 
     def test_restart_keeps_running_job_with_live_lease(self, tmp_path):
         """Regression: N servers can share one state dir.  A `running`
         record whose lease is still live belongs to a *sibling* that is
-        alive and heartbeating — a restart elsewhere must not stale it."""
-        jobs_dir = tmp_path / "jobs"
-        jobs_dir.mkdir()
+        alive and heartbeating: a restart elsewhere must not stale it,
+        and shutting the restarted server down must not wait for a job
+        it will never run."""
         alive = JobRecord(id="job-alive", kind="collect",
                           deployment="d-000", state="running",
                           request={"deployment": "d-000"}, created_at=1.0,
                           worker_id="sibling-server",
                           lease_expires_at=time.time() + 300)
-        (jobs_dir / "job-alive.json").write_text(alive.to_json())
-        manager = make_manager(tmp_path)
-        record = manager.get("job-alive")
+        write_legacy(tmp_path, alive)
+        state = build_state(str(tmp_path), workers=1)
+        record = state.jobs.get("job-alive")
         assert record.state == "running"
         assert record.error == ""
         assert not record.finished
         assert record.worker_id == "sibling-server"
+        started = time.monotonic()
+        state.close(wait=True)
+        assert time.monotonic() - started < 1.0
         # ... and nothing was rewritten behind the owner's back.
-        assert json.loads(
-            (jobs_dir / "job-alive.json").read_text())["state"] == "running"
-        manager.close()
+        assert read_back(tmp_path, "job-alive") == record
 
     def test_restart_stales_running_job_with_expired_lease(self, tmp_path):
         """The flip side: an *expired* lease proves the worker is dead."""
-        jobs_dir = tmp_path / "jobs"
-        jobs_dir.mkdir()
         dead = JobRecord(id="job-expired", kind="collect",
                          deployment="d-000", state="running",
                          request={"deployment": "d-000"}, created_at=1.0,
                          worker_id="dead-server",
                          lease_expires_at=time.time() - 1)
-        (jobs_dir / "job-expired.json").write_text(dead.to_json())
+        write_legacy(tmp_path, dead)
         manager = make_manager(tmp_path)
         record = manager.get("job-expired")
         assert record.state == "stale"
-        assert "restarted" in record.error
+        assert "dead server" in record.error
         manager.close()
 
     def test_heartbeat_renews_lease_while_running(self, tmp_path):
         """A running job's persisted lease keeps moving forward, so a
         concurrent reader never mistakes a live job for an orphan."""
         gate = threading.Event()
-        manager = make_manager(tmp_path,
-                               session=FakeSession(gate=gate))
+        manager = make_manager(tmp_path, session=FakeSession(gate=gate),
+                               lease_s=0.4)
         try:
             record = manager.submit("collect", {"deployment": "d-000"})
             deadline = time.monotonic() + 10
             lease = None
             while lease is None and time.monotonic() < deadline:
-                on_disk = json.loads(
-                    (tmp_path / "jobs" / f"{record.id}.json").read_text())
-                if on_disk["state"] == "running":
-                    lease = on_disk["lease_expires_at"]
+                on_disk = read_back(tmp_path, record.id)
+                if on_disk.state == "running":
+                    lease = on_disk.lease_expires_at
                 time.sleep(0.01)
             assert lease is not None and lease > time.time()
+            # The heartbeat renews every quarter lease (0.1 s here).
+            renewed = lease
+            while renewed <= lease and time.monotonic() < deadline:
+                time.sleep(0.05)
+                renewed = read_back(tmp_path, record.id).lease_expires_at
+            assert renewed > lease
         finally:
             gate.set()
             manager.close()
 
     def test_restart_requeues_queued_job(self, tmp_path):
-        jobs_dir = tmp_path / "jobs"
-        jobs_dir.mkdir()
         pending = JobRecord(id="job-q", kind="collect", deployment="d-000",
                             state="queued",
                             request={"deployment": "d-000"}, created_at=1.0)
-        (jobs_dir / "job-q.json").write_text(pending.to_json())
+        write_legacy(tmp_path, pending)
         manager = make_manager(tmp_path)
         final = manager.wait("job-q", timeout=10)
         assert final.state == "done"
@@ -329,11 +363,8 @@ class TestConcurrency:
                     active["count"] -= 1
                 return CollectResult(deployment=request.deployment)
 
-        manager = JobManager(
-            jobs_dir=str(tmp_path / "jobs"),
-            session_factory=TrackedSession,
-            workers=4,
-        )
+        manager = make_manager(tmp_path, session=TrackedSession(),
+                               workers=4)
         records = [
             manager.submit("collect", {"deployment": "d-000"})
             for _ in range(3)
@@ -358,11 +389,8 @@ class TestConcurrency:
                     overlap["count"] -= 1
                 return CollectResult(deployment=request.deployment)
 
-        manager = JobManager(
-            jobs_dir=str(tmp_path / "jobs"),
-            session_factory=TrackedSession,
-            workers=4,
-        )
+        manager = make_manager(tmp_path, session=TrackedSession(),
+                               workers=4)
         records = [
             manager.submit("collect", {"deployment": f"d-{i:03d}"})
             for i in range(4)
@@ -383,8 +411,7 @@ class TestConcurrency:
 
     def test_workers_validated(self, tmp_path):
         with pytest.raises(ConfigError):
-            JobManager(jobs_dir=str(tmp_path / "jobs"),
-                       session_factory=FakeSession, workers=0)
+            make_manager(tmp_path, workers=0)
 
     def test_wait_times_out(self, tmp_path):
         gate = threading.Event()
@@ -408,10 +435,10 @@ class TestRealPipeline:
         state_dir = str(tmp_path / "state")
         control = AdvisorSession(state_dir=state_dir)
         info = control.deploy(make_config(rgprefix="jobrg"))
-        manager = JobManager(
-            jobs_dir=os.path.join(state_dir, "jobs"),
+        manager = FleetJobManager(
+            FleetJobStore(fleet_db_path(state_dir)),
             session_factory=lambda: AdvisorSession(state_dir=state_dir),
-            workers=2,
+            workers=2, owns_store=True,
         )
         record = manager.submit("collect", {"deployment": info.name})
         final = manager.wait(record.id, timeout=30)
@@ -428,9 +455,9 @@ class TestRealPipeline:
 class TestParkedJobs:
     def test_cancelled_parked_job_does_not_strand_later_waiters(self,
                                                                 tmp_path):
-        """Regression: with J1 running and J2, J3 parked behind the same
-        deployment's lock, cancelling J2 must not eat the wake-up that
-        J3 needs when J1 releases the lock."""
+        """Regression: with J1 running and J2, J3 queued behind the same
+        deployment (unclaimable while J1 holds a live lease), cancelling
+        J2 must not strand J3 once J1 finishes."""
         gate = threading.Event()
         started = threading.Event()
         session = FakeSession(gate=gate,
@@ -440,15 +467,9 @@ class TestParkedJobs:
         assert started.wait(timeout=5)
         j2 = manager.submit("collect", {"deployment": "d-000"})
         j3 = manager.submit("collect", {"deployment": "d-000"})
-        # Wait until both followers are parked behind d-000's lock.
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            with manager._lock:
-                if len(manager._parked.get("d-000", ())) == 2:
-                    break
-            time.sleep(0.01)
-        else:
-            raise AssertionError("followers never parked")
+        # The idle second worker cannot take either follower.
+        time.sleep(0.1)
+        assert {manager.get(j.id).state for j in (j2, j3)} == {"queued"}
         manager.cancel(j2.id)
         gate.set()
         assert manager.wait(j1.id, timeout=10).state == "done"
@@ -467,11 +488,11 @@ class TestRetention:
             ids.append(record.id)
         manager.submit("collect", {"deployment": "d-next"})  # triggers prune
         listed = {r.id for r in manager.list()}
-        # The two oldest finished jobs are gone, memory and disk.
+        # The two oldest finished jobs are gone from the shared queue.
         assert ids[0] not in listed and ids[1] not in listed
         assert ids[2] in listed and ids[3] in listed
-        remaining = {p.name for p in (tmp_path / "jobs").glob("job-*.json")}
-        assert f"{ids[0]}.json" not in remaining
+        with pytest.raises(JobNotFound):
+            read_back(tmp_path, ids[0])
         with pytest.raises(JobNotFound):
             manager.get(ids[0])
         manager.close()
@@ -501,10 +522,10 @@ class TestRetention:
         state_dir = str(tmp_path / "state")
         control = AdvisorSession(state_dir=state_dir)
         info = control.deploy(make_config(rgprefix="resumerg"))
-        manager = JobManager(
-            jobs_dir=os.path.join(state_dir, "jobs"),
+        manager = FleetJobManager(
+            FleetJobStore(fleet_db_path(state_dir)),
             session_factory=lambda: AdvisorSession(state_dir=state_dir),
-            workers=1,
+            workers=1, owns_store=True,
         )
         first = manager.submit("collect", {"deployment": info.name})
         assert manager.wait(first.id, timeout=30).progress["total"] == 2

@@ -71,6 +71,7 @@ class LiveServer:
         self.state_dir = state_dir
         self.server = make_server(state_dir, port=0, workers=2)
         self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.05},
                                        daemon=True)
         self.thread.start()
 
