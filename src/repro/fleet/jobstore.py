@@ -483,8 +483,13 @@ class FleetJobStore:
 
     def finish(self, job_id: str, worker_id: str, state: str,
                result: Optional[Dict[str, Any]] = None,
-               error: str = "") -> JobRecord:
+               error: str = "",
+               progress: Optional[Dict[str, Any]] = None) -> JobRecord:
         """Terminal transition, guarded by ownership.
+
+        ``progress``, when given, replaces the stored counters in the
+        same write, so a finished record never shows counters older than
+        the job's last progress event.
 
         Raises :class:`LeaseLost` when another worker re-claimed the job
         (the loser must not clobber the winner's record) and
@@ -515,6 +520,8 @@ class FleetJobStore:
                         f"job {job_id} is owned by {record.worker_id},"
                         f" not {worker_id}"
                     )
+                if progress is not None:
+                    record = replace(record, progress=dict(progress))
                 final = self._write_locked(
                     record, state=state, finished_at=time.time(),
                     lease_expires_at=None, result=result, error=error,

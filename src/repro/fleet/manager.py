@@ -50,11 +50,14 @@ _TRANSITIONS = telemetry.global_registry().counter(
 
 
 class _JobControl:
-    """Per-active-job signal flags shared with the heartbeat thread."""
+    """Per-active-job signal flags shared with the heartbeat thread,
+    plus the job's latest progress counters (stored with its terminal
+    transition even when the last event fell between flushes)."""
 
     def __init__(self) -> None:
         self.cancel = threading.Event()
         self.abandon = threading.Event()
+        self.progress: Optional[Dict[str, Any]] = None
 
 
 class FleetJobManager:
@@ -235,17 +238,18 @@ class FleetJobManager:
             try:
                 result = self._execute(record, ctl)
             except JobCancelled:
-                self._finish_quiet(job_id, "cancelled",
+                self._finish_quiet(job_id, ctl, "cancelled",
                                    error="cancelled while running")
             except LeaseLost:
                 pass  # re-claimed by a survivor; its record, not ours
             except ReproError as exc:
-                self._finish_quiet(job_id, "failed", error=str(exc))
+                self._finish_quiet(job_id, ctl, "failed", error=str(exc))
             except Exception as exc:  # noqa: BLE001 - job must not hang
-                self._finish_quiet(job_id, "failed",
+                self._finish_quiet(job_id, ctl, "failed",
                                    error=f"{type(exc).__name__}: {exc}")
             else:
-                self._finish_quiet(job_id, "done", result=result.to_dict())
+                self._finish_quiet(job_id, ctl, "done",
+                                   result=result.to_dict())
         finally:
             with self._active_lock:
                 self._active.pop(job_id, None)
@@ -253,10 +257,11 @@ class FleetJobManager:
             # idle executor to look for parked same-deployment jobs.
             self._nudge.set()
 
-    def _finish_quiet(self, job_id: str, state: str, **kwargs) -> None:
+    def _finish_quiet(self, job_id: str, ctl: _JobControl, state: str,
+                      **kwargs) -> None:
         try:
             record = self._store.finish(job_id, self.worker_id, state,
-                                        **kwargs)
+                                        progress=ctl.progress, **kwargs)
         except (LeaseLost, JobStateError):
             pass  # lost the job while it ran; the winner writes history
         else:
@@ -298,21 +303,22 @@ class FleetJobManager:
                     raise LeaseLost(job_id)
                 if ctl.cancel.is_set():
                     raise JobCancelled(job_id)
+                ctl.progress = {
+                    "total": total,
+                    "executed": report.executed,
+                    "completed": report.completed,
+                    "failed": report.failed,
+                    "skipped": report.skipped,
+                    "predicted": report.predicted,
+                    "preemptions": report.preemptions,
+                    "simulated_wall_s": report.simulated_wall_s,
+                }
                 now = time.monotonic()
                 if now - last_flush[0] >= self.PROGRESS_FLUSH_INTERVAL_S:
                     last_flush[0] = now
                     try:
                         cancelled = self._store.update_progress(
-                            job_id, self.worker_id, {
-                                "total": total,
-                                "executed": report.executed,
-                                "completed": report.completed,
-                                "failed": report.failed,
-                                "skipped": report.skipped,
-                                "predicted": report.predicted,
-                                "preemptions": report.preemptions,
-                                "simulated_wall_s": report.simulated_wall_s,
-                            })
+                            job_id, self.worker_id, ctl.progress)
                     except LeaseLost:
                         ctl.abandon.set()
                         raise

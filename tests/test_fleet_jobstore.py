@@ -319,6 +319,20 @@ class TestFinishAndCancel:
         with pytest.raises(JobStateError):
             store.finish(record.id, "w1", "failed", error="again")
 
+    def test_finish_stores_final_progress(self, store):
+        kept, replaced = submit(store, deployment="dep-a"), \
+            submit(store, deployment="dep-b")
+        for record in (kept, replaced):
+            store.claim("w1")
+            store.update_progress(record.id, "w1", {"executed": 1})
+        # Without ``progress`` the last flushed counters stay.
+        assert store.finish(kept.id, "w1", "done", result={}) \
+            .progress == {"executed": 1}
+        final = store.finish(replaced.id, "w1", "cancelled",
+                             progress={"executed": 3})
+        assert final.progress == {"executed": 3}
+        assert store.get(replaced.id).progress == {"executed": 3}
+
     def test_finish_unknown_raises(self, store):
         with pytest.raises(JobNotFound):
             store.finish("job-ghost", "w1", "done")

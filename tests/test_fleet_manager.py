@@ -213,6 +213,34 @@ class TestCancel:
             gate.set()
             manager.close()
 
+    def test_cancelled_job_keeps_its_last_progress(self, store):
+        """Counters between flushes still reach the terminal record."""
+        reached, resume = threading.Event(), threading.Event()
+
+        class TwoStepsThenWait(FakeSession):
+            def collect(self, request, progress=None):
+                progress(report(executed=1), 5)  # flushed: first event
+                progress(report(executed=2), 5)  # inside the interval
+                reached.set()
+                resume.wait(timeout=30)
+                progress(report(executed=3), 5)  # raises: cancelled
+                raise AssertionError("cancel was not honoured")
+
+        manager = make_manager(store, session=TwoStepsThenWait(),
+                               workers=1)
+        try:
+            record = manager.submit("collect", {"deployment": "dep-000"})
+            assert reached.wait(timeout=10)
+            manager.cancel(record.id)
+            resume.set()
+            final = manager.wait(record.id, timeout=10)
+            assert final.state == "cancelled"
+            assert final.progress["executed"] == 2
+            assert final.progress["total"] == 5
+        finally:
+            resume.set()
+            manager.close()
+
     def test_cancel_queued_is_immediate(self, store):
         gate = threading.Event()
         started = threading.Event()

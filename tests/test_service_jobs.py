@@ -74,15 +74,19 @@ def make_manager(tmp_path, session=None, workers=2, lease_s=None,
     """The service's job path over state dir ``tmp_path``, as
     ``build_state`` wires it, but running ``session``."""
     store = FleetJobStore(fleet_db_path(str(tmp_path)), lease_s=lease_s)
-    store.import_legacy_jobs(str(tmp_path / "jobs"))
-    return FleetJobManager(
-        store,
-        session_factory=lambda: session or FakeSession(),
-        workers=workers,
-        poll_s=0.02,
-        owns_store=True,
-        **kwargs,
-    )
+    try:
+        store.import_legacy_jobs(str(tmp_path / "jobs"))
+        return FleetJobManager(
+            store,
+            session_factory=lambda: session or FakeSession(),
+            workers=workers,
+            poll_s=0.02,
+            owns_store=True,
+            **kwargs,
+        )
+    except BaseException:
+        store.close()
+        raise
 
 
 def read_back(tmp_path, job_id):
@@ -141,7 +145,6 @@ class TestSubmitAndRun:
     def test_progress_counters_update(self, tmp_path):
         manager = make_manager(tmp_path,
                                session=FakeSession(progress_steps=3))
-        manager.PROGRESS_FLUSH_INTERVAL_S = 0.0  # store every event
         record = manager.submit("collect", {"deployment": "d-000"})
         final = manager.wait(record.id, timeout=10)
         assert final.progress["executed"] == 3
