@@ -399,9 +399,10 @@ class AdvisorSession:
         """The deployment's corpus as a :class:`ColumnarSnapshot`.
 
         Store-backed sessions go through the process-wide generation-
-        keyed LRU (``repro.store.snapshot``): the build cost is paid
-        once per store change, then shared across requests — the
-        columnar engines' read path.  Ephemeral sessions build an
+        keyed LRU (``repro.store.snapshot``): the full build is paid
+        once, each store change then costs only its appended rows, and
+        the result is shared across requests — the columnar engines'
+        read path.  Ephemeral sessions build an
         ad-hoc snapshot over the in-memory dataset.
         """
         from repro.store.snapshot import (ColumnarSnapshot,
@@ -423,8 +424,8 @@ class AdvisorSession:
                 )
             return ColumnarSnapshot.from_points([])
         with telemetry.span("stage.snapshot", deployment=name,
-                            backend=backend.kind):
-            return snapshot_for_store(backend)
+                            backend=backend.kind) as span:
+            return snapshot_for_store(backend, span=span)
 
     def query_points(self, name: str, query: Optional[Query] = None,
                      must_exist: bool = True) -> List[DataPoint]:

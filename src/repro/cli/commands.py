@@ -426,6 +426,8 @@ def engines(state_dir: Optional[str] = None, as_json: bool = False) -> int:
                      else "stale" if status["cached"] else "cold")
             rows = (f", {status['rows']} rows"
                     if status["rows"] is not None else "")
+            if status["last_id"] is not None:
+                rows += f", last id {status['last_id']}"
             fetch = "sql" if status["column_fetch"] else "objects"
             print(f"  {status['deployment']}: {state} "
                   f"({status['backend']}, column fetch: {fetch}{rows})")

@@ -81,7 +81,7 @@ def describe_advice_engines() -> List[Dict[str, str]]:
         {
             "engine": "columnar",
             "description": "NumPy snapshot columns, cached per store "
-                           "generation",
+                           "and extended per append",
             "data_access": "columnar snapshot (LRU, ETag-keyed)",
             "risk_math": "vectorized, deduped + memoized kernels",
             "coverage": "advice, compare, predict, plots "

@@ -36,7 +36,8 @@ STORE_OPS = ("append", "query", "count", "sync_tasks", "load_tasks",
              "flush")
 
 #: Column order of the rows :meth:`StoreBackend.fetch_point_columns`
-#: returns (mapping fields as JSON object text).
+#: returns (mapping fields as JSON object text); a row may carry
+#: trailing engine columns after these, which readers ignore.
 POINT_COLUMN_FIELDS = (
     "appname", "sku", "nnodes", "ppn", "capacity", "predicted",
     "exec_time_s", "cost_usd", "timestamp", "preemptions",
@@ -91,10 +92,6 @@ class StoreBackend(abc.ABC):
             self.append_point(point)
 
     @abc.abstractmethod
-    def replace_points(self, points: Sequence[DataPoint]) -> None:
-        """Atomically replace the whole corpus (migration/repair path)."""
-
-    @abc.abstractmethod
     def query_points(self, query: Optional[Query] = None) -> List[DataPoint]:
         """Matching points in append order, windowed by the query."""
 
@@ -108,14 +105,22 @@ class StoreBackend(abc.ABC):
     #: implementation (i.e. a snapshot build skips DataPoint objects).
     supports_column_fetch: bool = False
 
-    def fetch_point_columns(
-            self, query: Optional[Query] = None) -> Optional[List[tuple]]:
-        """Raw point rows in :data:`POINT_COLUMN_FIELDS` order.
+    #: Token naming the underlying database (None when the engine has
+    #: no identity of its own); part of every fetch cursor.
+    store_id: Optional[str] = None
 
-        Mapping fields (``appinputs``/``app_vars``/``infra_metrics``/
-        ``tags``) are JSON object text.  ``None`` means the engine has
-        no columnar fast path (or cannot fully push the query down);
-        callers fall back to :meth:`query_points`.
+    def fetch_point_columns(
+            self, after: Optional[Tuple[str, int]] = None,
+    ) -> Optional[Tuple[List[tuple], Tuple[str, int]]]:
+        """``(rows, cursor)``: point rows in :data:`POINT_COLUMN_FIELDS`
+        order, in append order, and the cursor just past the last one.
+
+        With ``after`` (a cursor this method returned earlier) only the
+        rows appended since are returned.  Mapping fields (``appinputs``/
+        ``app_vars``/``infra_metrics``/``tags``) are JSON object text.
+        ``None`` means the engine has no columnar fast path (callers
+        fall back to :meth:`query_points`), or that ``after`` was taken
+        on another database (callers fetch again without it).
         """
         return None
 

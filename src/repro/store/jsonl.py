@@ -70,9 +70,6 @@ class JsonlStore(StoreBackend):
             with open(self.dataset_path, "a", encoding="utf-8") as fh:
                 fh.write(text)
 
-    def replace_points(self, points: Sequence[DataPoint]) -> None:
-        Dataset(points).save(self.dataset_path)
-
     def query_points(self, query: Optional[Query] = None) -> List[DataPoint]:
         with self._timed("query"):
             points = self._load_points()

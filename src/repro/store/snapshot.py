@@ -3,15 +3,28 @@
 The advice read path historically rehydrated every stored point into a
 :class:`~repro.core.dataset.DataPoint` and walked Python loops over the
 objects — a cost every cache-missing request paid again.  A
-:class:`ColumnarSnapshot` materializes one deployment's corpus **once
-per store generation** as parallel NumPy arrays (numeric columns) plus
-dictionary-encoded tables (strings and mappings), and an in-process
-:class:`SnapshotCache` shares the build across requests in a worker.
+:class:`ColumnarSnapshot` holds one deployment's corpus as parallel
+NumPy arrays (numeric columns) plus dictionary-encoded tables (strings
+and mappings), and an in-process :class:`SnapshotCache` shares it
+across requests in a worker.
+
+A store with a column fetch (SQLite) pays the full build **once**;
+after that, each store generation *extends* the cached snapshot with
+the rows appended since it was built.  Every snapshot records a cursor
+``(store_id, last_id)``; the next fetch returns only rows with
+``id > last_id``, and :meth:`ColumnarSnapshot.from_column_rows`
+continues the base snapshot's dictionary encoders, so the extension is
+field-for-field what a cold build over the whole corpus produces.  This
+is sound because stored points are append-only (see
+:mod:`repro.store.sqlite`).  A cursor from another database (purge,
+redeploy) is refused by the store and the build starts from empty.
+Stores without a column fetch (JSONL) rebuild through ``query_points``.
 
 Freshness is keyed on the *same* change token the service's ETag
 response cache uses — :meth:`StoreBackend.dataset_signature` — so a
 snapshot can never serve data an ETag would have revalidated: whenever
-the ETag key changes, the snapshot misses and rebuilds, and vice versa.
+the ETag key changes, the snapshot misses and is extended or rebuilt,
+and vice versa.
 
 Row order is store order (``ORDER BY id`` / file order), identical to
 ``query_points()``, so positional indices agree with the object path.
@@ -24,12 +37,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dataset import DataPoint
 from repro.core.query import Query
+from repro.store.base import POINT_COLUMN_FIELDS
 from repro.telemetry import global_registry
 
 __all__ = [
@@ -46,7 +61,8 @@ __all__ = [
 
 _BUILDS = global_registry().counter(
     "advisor_snapshot_builds",
-    "Columnar snapshot materializations, by store backend kind.",
+    "Columnar snapshot materializations, by store backend kind and "
+    "mode (full rebuild or delta extension).",
 )
 _HITS = global_registry().counter(
     "advisor_snapshot_hits",
@@ -58,42 +74,8 @@ _ROWS = global_registry().gauge(
 )
 _BUILD_SECONDS = global_registry().histogram(
     "advisor_snapshot_build_seconds",
-    "Columnar snapshot build latency, by store backend kind.",
+    "Columnar snapshot build latency, by store backend kind and mode.",
 )
-
-
-class _Encoder:
-    """Dictionary-encode values: stable codes in first-seen order."""
-
-    __slots__ = ("codes", "values")
-
-    def __init__(self) -> None:
-        self.codes: Dict[Any, int] = {}
-        self.values: List[Any] = []
-
-    def code(self, key: Any, value: Any) -> int:
-        got = self.codes.get(key)
-        if got is None:
-            got = len(self.values)
-            self.codes[key] = got
-            self.values.append(value)
-        return got
-
-
-def _encode_column(raw: Sequence[Any], decode) -> Tuple[list, _Encoder]:
-    """Dictionary-encode one column in a single comprehension.
-
-    ``setdefault(v, len(index))`` reads the current size *before* the
-    (possible) insert, so unseen values get the next code in first-seen
-    order; ``decode`` then runs once per unique value, not once per row.
-    """
-    index: Dict[Any, int] = {}
-    nxt = index.setdefault
-    codes = [nxt(v, len(index)) for v in raw]
-    enc = _Encoder()
-    enc.codes = index
-    enc.values = [decode(v) for v in index]
-    return codes, enc
 
 
 def _parse_str_map(text: str) -> Dict[str, str]:
@@ -102,6 +84,29 @@ def _parse_str_map(text: str) -> Dict[str, str]:
 
 def _parse_float_map(text: str) -> Dict[str, float]:
     return {str(k): float(v) for k, v in (json.loads(text) or {}).items()}
+
+
+#: Numeric store-row fields: (field, dtype).  The snapshot attribute
+#: carries the field's name.
+_NUMERIC_COLUMNS = (
+    ("exec_time_s", np.float64), ("cost_usd", np.float64),
+    ("timestamp", np.float64), ("wasted_node_s", np.float64),
+    ("makespan_s", np.float64), ("nnodes", np.int64), ("ppn", np.int64),
+    ("preemptions", np.int64), ("predicted", bool),
+)
+
+#: Dictionary-encoded store-row fields: (field, codes attribute,
+#: values attribute, decode one raw value).
+_DICT_COLUMNS = (
+    ("appname", "appname_codes", "appnames", str),
+    ("sku", "sku_codes", "skus", str),
+    ("capacity", "capacity_codes", "capacities", str),
+    ("deployment", "deployment_codes", "deployments", str),
+    ("appinputs", "appinputs_codes", "appinputs_groups", _parse_str_map),
+    ("app_vars", "app_vars_codes", "app_vars_groups", _parse_str_map),
+    ("infra_metrics", "infra_codes", "infra_groups", _parse_float_map),
+    ("tags", "tags_codes", "tags_groups", _parse_str_map),
+)
 
 
 @dataclass
@@ -143,6 +148,13 @@ class ColumnarSnapshot:
     #: The store's ``dataset_signature()`` at build time (None for
     #: ad-hoc snapshots over in-memory points or filtered views).
     signature: Optional[Tuple] = None
+    #: ``(store_id, last_id)`` of the last store row held (None unless
+    #: built by :meth:`from_column_rows` from a store fetch).
+    cursor: Optional[Tuple[str, int]] = None
+    #: Raw value -> code, per :data:`_DICT_COLUMNS` field: the encoder
+    #: state a delta build continues (``from_column_rows`` only).
+    _index: Dict[str, Dict[Any, int]] = field(default_factory=dict,
+                                              repr=False)
     _lazy: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     # -- derived tables (computed once per snapshot) -----------------------------
@@ -183,113 +195,78 @@ class ColumnarSnapshot:
     @classmethod
     def from_points(cls, points: Sequence[DataPoint],
                     signature: Optional[Tuple] = None) -> "ColumnarSnapshot":
-        appname_e, sku_e, cap_e, dep_e = (_Encoder() for _ in range(4))
-        inputs_e, vars_e, infra_e, tags_e = (_Encoder() for _ in range(4))
-        cols: Dict[str, list] = {k: [] for k in (
-            "exec", "cost", "ts", "wasted", "makespan", "nnodes", "ppn",
-            "preempt", "pred", "app", "sku", "cap", "dep", "inp", "var",
-            "infra", "tag")}
-        for p in points:
-            cols["exec"].append(p.exec_time_s)
-            cols["cost"].append(p.cost_usd)
-            cols["ts"].append(p.timestamp)
-            cols["wasted"].append(p.wasted_node_s)
-            cols["makespan"].append(p.makespan_s)
-            cols["nnodes"].append(p.nnodes)
-            cols["ppn"].append(p.ppn)
-            cols["preempt"].append(p.preemptions)
-            cols["pred"].append(p.predicted)
-            cols["app"].append(appname_e.code(p.appname, p.appname))
-            cols["sku"].append(sku_e.code(p.sku, p.sku))
-            cols["cap"].append(cap_e.code(p.capacity, p.capacity))
-            cols["dep"].append(dep_e.code(p.deployment, p.deployment))
-            # Mapping groups key on the *ordered* item tuple, so the
-            # rehydrated dict reproduces the stored key order exactly.
-            cols["inp"].append(
-                inputs_e.code(tuple(p.appinputs.items()), dict(p.appinputs)))
-            cols["var"].append(
-                vars_e.code(tuple(p.app_vars.items()), dict(p.app_vars)))
-            cols["infra"].append(
-                infra_e.code(tuple(p.infra_metrics.items()),
-                             dict(p.infra_metrics)))
-            cols["tag"].append(
-                tags_e.code(tuple(p.tags.items()), dict(p.tags)))
-        return cls._assemble(cols, appname_e, sku_e, cap_e, dep_e,
-                             inputs_e, vars_e, infra_e, tags_e, signature)
+        fields: Dict[str, Any] = {
+            name: np.asarray([getattr(p, name) for p in points], dtype=dtype)
+            for name, dtype in _NUMERIC_COLUMNS}
+        for name, codes_attr, values_attr, _ in _DICT_COLUMNS:
+            seen: Dict[Any, int] = {}
+            values: List[Any] = []
+            codes: List[int] = []
+            for p in points:
+                raw = getattr(p, name)
+                # Mapping groups key on the *ordered* item tuple, so the
+                # rehydrated dict reproduces the stored key order exactly.
+                key = tuple(raw.items()) if isinstance(raw, dict) else raw
+                code = seen.get(key)
+                if code is None:
+                    code = seen[key] = len(values)
+                    values.append(dict(raw) if isinstance(raw, dict)
+                                  else raw)
+                codes.append(code)
+            fields[codes_attr] = np.asarray(codes, dtype=np.int32)
+            fields[values_attr] = tuple(values)
+        return cls(n=len(points), signature=signature, **fields)
 
     @classmethod
     def from_column_rows(cls, rows: Sequence[tuple],
                          signature: Optional[Tuple] = None,
+                         base: Optional["ColumnarSnapshot"] = None,
+                         cursor: Optional[Tuple[str, int]] = None,
                          ) -> "ColumnarSnapshot":
-        """Build from raw store rows (``StoreBackend.fetch_point_columns``).
+        """``base`` extended with raw store rows (``fetch_point_columns``).
 
-        Row layout is :data:`repro.store.base.POINT_COLUMN_FIELDS`;
+        Row layout is :data:`repro.store.base.POINT_COLUMN_FIELDS`
+        (trailing columns past those are ignored);
         mapping fields arrive as JSON object text and are parsed once
         per unique text (payloads are written with compact separators,
         so identical mappings share identical text).  The build is
         column-at-a-time — one transpose, then one dictionary-encoding
-        comprehension per string/mapping column — which roughly halves
-        the Python cost of a 50k-row build versus a per-row loop.
-        """
-        if rows:
-            (app_c, sku_c, nnodes_c, ppn_c, cap_c, pred_c, exec_c,
-             cost_c, ts_c, preempt_c, wasted_c, makespan_c, inp_c,
-             var_c, infra_c, tag_c, dep_c) = zip(*rows)
-        else:
-            (app_c, sku_c, nnodes_c, ppn_c, cap_c, pred_c, exec_c,
-             cost_c, ts_c, preempt_c, wasted_c, makespan_c, inp_c,
-             var_c, infra_c, tag_c, dep_c) = ((),) * 17
-        cols: Dict[str, Any] = {
-            "exec": exec_c, "cost": cost_c, "ts": ts_c,
-            "wasted": wasted_c, "makespan": makespan_c,
-            "nnodes": nnodes_c, "ppn": ppn_c, "preempt": preempt_c,
-            "pred": pred_c,
-        }
-        encoders = []
-        for name, raw, decode in (
-                ("app", app_c, str), ("sku", sku_c, str),
-                ("cap", cap_c, str), ("dep", dep_c, str),
-                ("inp", inp_c, _parse_str_map),
-                ("var", var_c, _parse_str_map),
-                ("infra", infra_c, _parse_float_map),
-                ("tag", tag_c, _parse_str_map)):
-            cols[name], enc = _encode_column(raw, decode)
-            encoders.append(enc)
-        return cls._assemble(cols, *encoders, signature)
+        comprehension per string/mapping column.
 
-    @classmethod
-    def _assemble(cls, cols, appname_e, sku_e, cap_e, dep_e,
-                  inputs_e, vars_e, infra_e, tags_e, signature):
-        codes = dict(dtype=np.int32)
-        return cls(
-            n=len(cols["exec"]),
-            exec_time_s=np.asarray(cols["exec"], dtype=np.float64),
-            cost_usd=np.asarray(cols["cost"], dtype=np.float64),
-            timestamp=np.asarray(cols["ts"], dtype=np.float64),
-            wasted_node_s=np.asarray(cols["wasted"], dtype=np.float64),
-            makespan_s=np.asarray(cols["makespan"], dtype=np.float64),
-            nnodes=np.asarray(cols["nnodes"], dtype=np.int64),
-            ppn=np.asarray(cols["ppn"], dtype=np.int64),
-            preemptions=np.asarray(cols["preempt"], dtype=np.int64),
-            predicted=np.asarray(cols["pred"], dtype=bool),
-            appname_codes=np.asarray(cols["app"], **codes),
-            appnames=tuple(appname_e.values),
-            sku_codes=np.asarray(cols["sku"], **codes),
-            skus=tuple(sku_e.values),
-            capacity_codes=np.asarray(cols["cap"], **codes),
-            capacities=tuple(cap_e.values),
-            deployment_codes=np.asarray(cols["dep"], **codes),
-            deployments=tuple(dep_e.values),
-            appinputs_codes=np.asarray(cols["inp"], **codes),
-            appinputs_groups=tuple(inputs_e.values),
-            app_vars_codes=np.asarray(cols["var"], **codes),
-            app_vars_groups=tuple(vars_e.values),
-            infra_codes=np.asarray(cols["infra"], **codes),
-            infra_groups=tuple(infra_e.values),
-            tags_codes=np.asarray(cols["tag"], **codes),
-            tags_groups=tuple(tags_e.values),
-            signature=signature,
-        )
+        With ``base`` (a snapshot from an earlier call) each encoder
+        continues from a *copy* of the base's raw value -> code index,
+        and the new arrays are concatenated after the base's: the
+        result is exactly what one call over ``base``'s rows plus
+        ``rows`` builds, and ``base`` itself is left untouched.  A full
+        build is the same call with no base.
+        """
+        columns = dict(zip(POINT_COLUMN_FIELDS, zip(*rows) if rows
+                           else ((),) * len(POINT_COLUMN_FIELDS)))
+        fields: Dict[str, Any] = {}
+        for name, dtype in _NUMERIC_COLUMNS:
+            fields[name] = np.asarray(columns[name], dtype=dtype)
+        index: Dict[str, Dict[Any, int]] = {}
+        for name, codes_attr, values_attr, decode in _DICT_COLUMNS:
+            # ``setdefault(v, len(seen))`` reads the size *before* the
+            # (possible) insert, so unseen values get the next code in
+            # first-seen order; ``decode`` runs once per new value.
+            seen = dict(base._index[name]) if base is not None else {}
+            first_new = len(seen)
+            nxt = seen.setdefault
+            fields[codes_attr] = np.asarray(
+                [nxt(v, len(seen)) for v in columns[name]], dtype=np.int32)
+            fields[values_attr] = tuple(
+                decode(v) for v in islice(seen, first_new, None))
+            index[name] = seen
+        if base is not None:
+            for attr, added in fields.items():
+                fields[attr] = (getattr(base, attr) + added
+                                if isinstance(added, tuple)
+                                else np.concatenate((getattr(base, attr),
+                                                     added)))
+        return cls(n=(base.n if base is not None else 0) + len(rows),
+                   signature=signature, cursor=cursor, _index=index,
+                   **fields)
 
     # -- filtering ---------------------------------------------------------------
 
@@ -496,33 +473,59 @@ def _cache_key(backend) -> Tuple[str, str]:
     return (backend.kind, backend.dataset_display_path)
 
 
+def _same_store(snap: ColumnarSnapshot, backend) -> bool:
+    """Was ``snap`` built from the database ``backend`` holds now?"""
+    return (snap.cursor[0] if snap.cursor else None) == backend.store_id
+
+
 def snapshot_for_store(backend,
                        cache: Optional[SnapshotCache] = None,
-                       ) -> ColumnarSnapshot:
+                       span=None) -> ColumnarSnapshot:
     """The backend's current corpus as a snapshot, via the LRU.
 
-    A fresh entry (same ``dataset_signature``) is returned as-is; a
-    stale or missing one triggers a rebuild — through the backend's
-    column fetch when it has one, else through ``query_points``.
+    A fresh entry (same ``dataset_signature``, same store) is returned
+    as-is.  A stale one from the same store is extended with the rows
+    appended since its cursor; a missing one, or one from a store that
+    was replaced, is built from empty through the same call.  Backends
+    without a column fetch rebuild through ``query_points``.  ``span``
+    (a live telemetry span) receives the ``mode`` (``hit``/``full``/
+    ``delta``) and ``delta_rows`` attributes.
     """
     cache = cache if cache is not None else _CACHE
     signature = backend.dataset_signature()
     key = _cache_key(backend)
     snap = cache.get(key, signature)
-    if snap is not None:
+    if snap is not None and _same_store(snap, backend):
         _HITS.labels(kind=backend.kind).inc()
+        if span is not None:
+            span.set("mode", "hit")
+            span.set("delta_rows", 0)
         return snap
+    entry = cache.peek(key)
+    base = entry[1] if entry is not None else None
     start = time.perf_counter()
-    rows = backend.fetch_point_columns()
-    if rows is not None:
-        snap = ColumnarSnapshot.from_column_rows(rows, signature=signature)
+    if backend.supports_column_fetch:
+        fetched = None
+        if base is not None and base.cursor is not None:
+            fetched = backend.fetch_point_columns(after=base.cursor)
+        if fetched is None:
+            base = None
+            fetched = backend.fetch_point_columns()
+        rows, cursor = fetched
+        snap = ColumnarSnapshot.from_column_rows(
+            rows, signature=signature, base=base, cursor=cursor)
     else:
-        snap = ColumnarSnapshot.from_points(backend.query_points(),
-                                            signature=signature)
-    _BUILD_SECONDS.labels(kind=backend.kind).observe(
+        base = None
+        rows = backend.query_points()
+        snap = ColumnarSnapshot.from_points(rows, signature=signature)
+    mode = "full" if base is None else "delta"
+    _BUILD_SECONDS.labels(kind=backend.kind, mode=mode).observe(
         time.perf_counter() - start)
-    _BUILDS.labels(kind=backend.kind).inc()
+    _BUILDS.labels(kind=backend.kind, mode=mode).inc()
     _ROWS.labels(kind=backend.kind).set(float(snap.n))
+    if span is not None:
+        span.set("mode", mode)
+        span.set("delta_rows", len(rows))
     cache.put(key, signature, snap)
     return snap
 
@@ -533,11 +536,15 @@ def snapshot_status(backend,
     cache = cache if cache is not None else _CACHE
     signature = backend.dataset_signature()
     entry = cache.peek(_cache_key(backend))
+    snap = entry[1] if entry is not None else None
     return {
         "backend": backend.kind,
         "column_fetch": backend.supports_column_fetch,
-        "cached": entry is not None,
-        "fresh": entry is not None and entry[0] == signature,
-        "rows": (entry[1].n if entry is not None else None),
+        "cached": snap is not None,
+        "fresh": (snap is not None and entry[0] == signature
+                  and _same_store(snap, backend)),
+        "rows": (snap.n if snap is not None else None),
+        "last_id": (snap.cursor[1] if snap is not None and snap.cursor
+                    else None),
         "signature": "/".join(str(part) for part in signature),
     }

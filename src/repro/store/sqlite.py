@@ -7,6 +7,16 @@ task records.  Design points:
   (points) or one upsert (tasks); nothing ever rewrites the corpus, so
   a 50k-point deployment pays the same per-append cost as an empty one
   and a killed sweep keeps every committed row.
+* **Append-only points** — :meth:`SqliteStore.append_points` is the
+  only writer of ``datapoints``: no row is ever updated or deleted, so
+  rows with ``id <= n`` never change once visible, and SQLite's single
+  writer makes visible ids monotone.  Columnar snapshots rely on this:
+  :meth:`SqliteStore.fetch_point_columns` with a cursor returns only
+  the rows appended after it, and the caller extends its snapshot.
+* **Store identity** — a random ``store_id`` written once into
+  ``meta`` names this database, so a cursor taken on a purged or
+  replaced file (whose inode number may be reused) is never applied
+  to its successor.
 * **Query pushdown** — the scalar clauses of a
   :class:`~repro.core.query.Query` (app, SKU, node counts, capacity,
   predicted, ppn) become an indexed SQL ``WHERE``; ``limit``/``offset``
@@ -31,6 +41,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import secrets
 import sqlite3
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -95,9 +106,25 @@ class SqliteStore(StoreBackend):
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
+        self.store_id: str = self._read_store_id()
         self._ino = self._stat_ino()
         self._closed = False
         self._bind_op_timers()
+
+    def _read_store_id(self) -> str:
+        """This database's identity token.  The first handle to find
+        none names the database; every later one, in this or another
+        process, reads the same token (``INSERT OR IGNORE`` lets one
+        of two racing first handles win)."""
+        select = "SELECT value FROM meta WHERE key = 'store_id'"
+        row = self._conn.execute(select).fetchone()
+        if row is None:
+            self._conn.execute(
+                "INSERT OR IGNORE INTO meta (key, value)"
+                " VALUES ('store_id', ?)", (secrets.token_hex(16),))
+            self._conn.commit()
+            row = self._conn.execute(select).fetchone()
+        return row[0]
 
     def _stat_ino(self) -> Optional[int]:
         try:
@@ -145,30 +172,6 @@ class SqliteStore(StoreBackend):
         ).fetchone()
         return int(row[0]) if row is not None else 0
 
-    def replace_points(self, points: Sequence[DataPoint]) -> None:
-        rows = [
-            (p.appname, p.sku, p.sku.lower(), p.nnodes, p.ppn, p.capacity,
-             int(p.predicted), _dumps(p.to_dict()))
-            for p in points
-        ]
-        # One transaction: a crash mid-replace must never leave an
-        # emptied corpus, and no reader may observe the gap.
-        with self._lock:
-            try:
-                self._conn.execute("DELETE FROM datapoints")
-                if rows:
-                    self._conn.executemany(
-                        "INSERT INTO datapoints (appname, sku, sku_lower,"
-                        " nnodes, ppn, capacity, predicted, payload)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        rows,
-                    )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._bump("points_gen")
-            self._conn.commit()
-
     def query_points(self, query: Optional[Query] = None) -> List[DataPoint]:
         query = query or Query()
         where, params, pushed_window = self._translate(query)
@@ -203,7 +206,8 @@ class SqliteStore(StoreBackend):
 
     supports_column_fetch = True
 
-    #: SELECT list matching ``repro.store.base.POINT_COLUMN_FIELDS``:
+    #: SELECT list matching ``repro.store.base.POINT_COLUMN_FIELDS``
+    #: plus a trailing row id (the fetch cursor):
     #: indexed columns where they exist, ``json_extract`` otherwise.
     #: Numeric extraction is bit-exact (SQLite parses JSON reals into
     #: the same float64 Python's parser produces); mapping fields come
@@ -221,25 +225,25 @@ class SqliteStore(StoreBackend):
         " COALESCE(json_extract(payload, '$.app_vars'), '{}'),"
         " COALESCE(json_extract(payload, '$.infra_metrics'), '{}'),"
         " COALESCE(json_extract(payload, '$.tags'), '{}'),"
-        " COALESCE(json_extract(payload, '$.deployment'), '')"
+        " COALESCE(json_extract(payload, '$.deployment'), ''), id"
         " FROM datapoints"
     )
 
     def fetch_point_columns(
-            self, query: Optional[Query] = None) -> Optional[List[tuple]]:
-        query = query or Query()
-        where, params, fully_pushed = self._translate(query)
-        if not fully_pushed:
+            self, after: Optional[Tuple[str, int]] = None,
+    ) -> Optional[Tuple[List[tuple], Tuple[str, int]]]:
+        if after is not None and after[0] != self.store_id:
             return None
-        sql = self._COLUMN_SELECT + where + " ORDER BY id"
-        if query.limit is not None or query.offset:
-            sql += " LIMIT ? OFFSET ?"
-            params = params + [
-                -1 if query.limit is None else query.limit,
-                query.offset,
-            ]
+        last_id = 0 if after is None else after[1]
         with self._timed("query"), self._lock:
-            return self._conn.execute(sql, params).fetchall()
+            rows = self._conn.execute(
+                self._COLUMN_SELECT + " WHERE id > ? ORDER BY id",
+                (last_id,),
+            ).fetchall()
+        # Points are append-only, so the last fetched row's id is the
+        # new cursor: taken from the same statement as the rows, a
+        # commit landing meanwhile is neither skipped nor fetched twice.
+        return rows, (self.store_id, rows[-1][-1] if rows else last_id)
 
     def aggregate_points(
             self, query: Optional[Query] = None) -> Optional[Dict]:

@@ -1,20 +1,25 @@
-"""Columnar advice read path: equivalence and invalidation (ISSUE 10).
+"""Columnar advice read path: equivalence and invalidation.
 
 The columnar engine carries a hard contract: for any corpus and any
 request, ``engine="columnar"`` returns *byte-identical* results to the
 legacy per-DataPoint oracle (``engine="objects"``) — including error
 messages.  Hypothesis drives random corpora and request shapes through
 both engines over both store backends; separate tests pin snapshot
-invalidation (append -> stale snapshot rebuilt) and the agreement
-between the service ETag and the snapshot generation.
+invalidation (append -> stale snapshot extended or rebuilt), the
+agreement between the service ETag and the snapshot generation, and
+that a snapshot extended by per-append deltas is field for field the
+snapshot a cold build over the whole corpus produces.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,6 +37,8 @@ from repro.errors import AdvisorError, ReproError
 from repro.predict.predictor import PerformancePredictor
 from repro.store.snapshot import (ColumnarSnapshot, SnapshotCache,
                                   snapshot_for_store, snapshot_status)
+from repro.store.sqlite import SqliteStore
+from repro.telemetry import global_registry
 from tests.conftest import make_config
 
 SKUS = ("Standard_HB120rs_v3", "Standard_HC44rs")
@@ -301,3 +308,320 @@ class TestServiceEtagAgreement:
             assert bad.status == 400
         finally:
             state.close()
+
+
+# -- incremental snapshots (SQLite) ----------------------------------------------
+
+#: SKUs, appinputs, tags and infra groups the delta tests draw from, so
+#: groups first seen in a later batch and repeated mapping text both
+#: occur.
+DELTA_SKUS = SKUS + ("Standard_HB120rs_v2",)
+DELTA_INPUTS = ({"BOXFACTOR": "4"}, {"BOXFACTOR": "8"},
+                {"BOXFACTOR": "8", "NSTEPS": "200"})
+DELTA_TAGS = ({}, {"run": "a"}, {"run": "b", "phase": "warm"})
+DELTA_INFRA = ({}, {"p95_makespan_s": 1200.0}, {"cpu_util": 0.5})
+
+
+@st.composite
+def delta_points(draw):
+    return dataclasses.replace(
+        draw(datapoints()),
+        sku=draw(st.sampled_from(DELTA_SKUS)),
+        appinputs=dict(draw(st.sampled_from(DELTA_INPUTS))),
+        tags=dict(draw(st.sampled_from(DELTA_TAGS))),
+        infra_metrics=dict(draw(st.sampled_from(DELTA_INFRA))))
+
+
+append_batches = st.lists(st.lists(delta_points(), max_size=5),
+                          min_size=1, max_size=5)
+
+
+class SpanRecorder:
+    """Stands in for a live telemetry span: keeps the attributes."""
+
+    def __init__(self) -> None:
+        self.attrs = {}
+
+    def set(self, key, value) -> None:
+        self.attrs[key] = value
+
+
+def cold_snapshot(store: SqliteStore) -> ColumnarSnapshot:
+    """A full build over the whole store, with no cached base."""
+    rows, cursor = store.fetch_point_columns()
+    return ColumnarSnapshot.from_column_rows(
+        rows, signature=store.dataset_signature(), cursor=cursor)
+
+
+def snapshot_state(snap: ColumnarSnapshot) -> dict:
+    """Every field but the lazy memo, deep-copied for later comparison."""
+    return {f.name: copy.deepcopy(getattr(snap, f.name))
+            for f in dataclasses.fields(snap) if f.name != "_lazy"}
+
+
+def assert_same_state(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].dtype == value.dtype, name
+            assert np.array_equal(got[name], value), name
+        else:
+            assert got[name] == value, name
+            if isinstance(value, tuple):
+                # Group tables: same values *and* same types (a dict
+                # where a dict was, a float where a float was).
+                assert [type(v) for v in got[name]] == \
+                    [type(v) for v in value], name
+
+
+class TestIncrementalSnapshot:
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(batches=append_batches)
+    def test_delta_extension_equals_cold_build(self, batches):
+        """Random append sequences: after every append the cached
+        snapshot equals a cold full build field for field, columnar
+        advice equals the objects oracle, and extending never touches
+        the base snapshot."""
+        with tempfile.TemporaryDirectory() as root:
+            session = AdvisorSession(store=StateStore(
+                root=root, store_backend="sqlite"))
+            name = session.deploy(make_config(skus=list(SKUS))).name
+            store = session.data_store(name)
+            cache = SnapshotCache()
+            previous = None
+            for batch in batches:
+                before = (snapshot_state(previous)
+                          if previous is not None else None)
+                store.append_points(batch)
+                span = SpanRecorder()
+                snap = snapshot_for_store(store, cache=cache, span=span)
+                if previous is None:
+                    assert span.attrs["mode"] == "full"
+                elif batch:
+                    assert span.attrs == {"mode": "delta",
+                                          "delta_rows": len(batch)}
+                else:
+                    assert span.attrs["mode"] == "hit"
+                assert_same_state(snapshot_state(snap),
+                                  snapshot_state(cold_snapshot(store)))
+                if before is not None:
+                    assert_same_state(snapshot_state(previous), before)
+                    if snap is not previous:
+                        for field, index in previous._index.items():
+                            assert snap._index[field] is not index
+                previous = snap
+                for capacity in ("ondemand", "spot"):
+                    params = {"capacity": capacity}
+                    assert (advise_outcome(session, name, "columnar",
+                                           params)
+                            == advise_outcome(session, name, "objects",
+                                              params)), capacity
+
+
+def _point(sku: str = SKUS[0], exec_time_s: float = 10.0) -> DataPoint:
+    return DataPoint(appname="lammps", sku=sku, nnodes=2, ppn=4,
+                     exec_time_s=exec_time_s, cost_usd=1.0)
+
+
+class TestSnapshotRobustness:
+    @pytest.mark.parametrize("reused_inode", [False, True])
+    def test_purge_and_redeploy_starts_from_the_new_database(
+            self, tmp_path, monkeypatch, reused_inode):
+        """Same name, same path, same generation count, warm cache: the
+        snapshot holds only the new database's rows — also when the new
+        file reuses the old inode, so the signatures are equal."""
+        session = AdvisorSession(store=StateStore(
+            root=str(tmp_path), store_backend="sqlite"))
+        config = make_config(skus=list(SKUS))
+        name = session.deploy(config).name
+        old = session.data_store(name)
+        old.append_points([_point(SKUS[0], 10.0), _point(SKUS[0], 11.0)])
+        old_id, old_signature = old.store_id, old.dataset_signature()
+        assert snapshot_for_store(old).n == 2  # warm process-wide cache
+
+        session.shutdown(name, purge_data=True)
+        assert session.deploy(config).name == name
+        new = session.data_store(name)
+        assert new.store_id != old_id
+        new.append_points([_point(SKUS[1], 7.0)])
+        if reused_inode:
+            monkeypatch.setattr(new, "dataset_signature",
+                                lambda: old_signature)
+        span = SpanRecorder()
+        snap = snapshot_for_store(new, span=span)
+        assert span.attrs == {"mode": "full", "delta_rows": 1}
+        assert snap.n == 1 and snap.skus == (SKUS[1],)
+        assert snap.cursor[0] == new.store_id
+        assert_same_state(snapshot_state(snap),
+                          snapshot_state(cold_snapshot(new)))
+
+    def test_second_handle_appends_are_picked_up_as_delta(self, tmp_path):
+        path = str(tmp_path / "points.sqlite")
+        store = SqliteStore(path)
+        other = SqliteStore(path)
+        try:
+            assert other.store_id == store.store_id
+            store.append_points([_point()])
+            cache = SnapshotCache()
+            assert snapshot_for_store(store, cache=cache).n == 1
+            other.append_points([_point(SKUS[1], 5.0), _point()])
+            span = SpanRecorder()
+            snap = snapshot_for_store(store, cache=cache, span=span)
+            assert span.attrs == {"mode": "delta", "delta_rows": 2}
+            assert snap.n == 3
+            assert_same_state(snapshot_state(snap),
+                              snapshot_state(cold_snapshot(store)))
+        finally:
+            other.close()
+            store.close()
+
+    def test_commit_between_signature_and_fetch(self, tmp_path,
+                                                monkeypatch):
+        """The cursor comes from the fetched rows, not the signature: a
+        row committed after the signature read is counted exactly once."""
+        path = str(tmp_path / "points.sqlite")
+        store = SqliteStore(path)
+        other = SqliteStore(path)
+        try:
+            store.append_points([_point()])
+            cache = SnapshotCache()
+            snapshot_for_store(store, cache=cache)
+            store.append_points([_point(exec_time_s=12.0)])
+            read_signature = store.dataset_signature
+
+            def signature_then_commit():
+                signature = read_signature()
+                other.append_points([_point(SKUS[1], 3.0)])
+                return signature
+
+            monkeypatch.setattr(store, "dataset_signature",
+                                signature_then_commit)
+            raced = snapshot_for_store(store, cache=cache)
+            monkeypatch.undo()
+            assert raced.n == 3
+            assert raced.signature != store.dataset_signature()
+
+            span = SpanRecorder()
+            caught_up = snapshot_for_store(store, cache=cache, span=span)
+            assert span.attrs == {"mode": "delta", "delta_rows": 0}
+            assert caught_up.n == 3
+            assert_same_state(snapshot_state(caught_up),
+                              snapshot_state(cold_snapshot(store)))
+        finally:
+            other.close()
+            store.close()
+
+    def test_concurrent_readers_extend_consistently(self, tmp_path):
+        """More reader threads than cores extend one shared cache while
+        a second handle appends: every snapshot holds exactly the rows
+        up to its cursor, and the last one equals a cold build."""
+        import sys
+        import threading
+
+        path = str(tmp_path / "points.sqlite")
+        store = SqliteStore(path)
+        writer = SqliteStore(path)
+        cache = SnapshotCache()
+        done = threading.Event()
+        failures = []
+
+        def read():
+            while not done.is_set():
+                snap = snapshot_for_store(store, cache=cache)
+                if snap.n != snap.cursor[1] or any(
+                        len(snap._index[field]) != len(getattr(snap, values))
+                        or snap.n != len(getattr(snap, codes))
+                        for field, codes, values in (
+                            ("sku", "sku_codes", "skus"),
+                            ("tags", "tags_codes", "tags_groups"))):
+                    failures.append((snap.n, snap.cursor))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(40):
+                writer.append_points([
+                    DataPoint(appname="lammps", sku=DELTA_SKUS[i % 3],
+                              nnodes=2, ppn=4, exec_time_s=10.0 + i,
+                              cost_usd=1.0, tags={"batch": str(i)})
+                    for _ in range(3)])
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(old_interval)
+        try:
+            assert not any(thread.is_alive() for thread in readers)
+            assert failures == []
+            final = snapshot_for_store(store, cache=cache)
+            assert final.n == 120
+            assert_same_state(snapshot_state(final),
+                              snapshot_state(cold_snapshot(store)))
+        finally:
+            writer.close()
+            store.close()
+
+    def test_foreign_cursor_is_refused(self, tmp_path):
+        first = SqliteStore(str(tmp_path / "a.sqlite"))
+        second = SqliteStore(str(tmp_path / "b.sqlite"))
+        try:
+            first.append_points([_point()])
+            _, cursor = first.fetch_point_columns()
+            assert cursor == (first.store_id, 1)
+            assert second.fetch_point_columns(after=cursor) is None
+            assert first.fetch_point_columns(after=cursor) == ([], cursor)
+        finally:
+            second.close()
+            first.close()
+
+
+class TestSnapshotObservability:
+    def test_builds_are_labelled_by_mode(self, tmp_path):
+        store = SqliteStore(str(tmp_path / "points.sqlite"))
+        try:
+            family = global_registry().counter("advisor_snapshot_builds")
+
+            def builds(mode):
+                return family.labels(kind="sqlite", mode=mode).value
+
+            full, delta = builds("full"), builds("delta")
+            cache = SnapshotCache()
+            store.append_points([_point()])
+            snapshot_for_store(store, cache=cache)
+            store.append_points([_point()])
+            snapshot_for_store(store, cache=cache)
+            assert (builds("full"), builds("delta")) == (full + 1,
+                                                         delta + 1)
+        finally:
+            store.close()
+
+    def test_status_reports_last_id(self, tmp_path):
+        store = SqliteStore(str(tmp_path / "points.sqlite"))
+        try:
+            cache = SnapshotCache()
+            assert snapshot_status(store, cache=cache)["last_id"] is None
+            store.append_points([_point(), _point()])
+            snapshot_for_store(store, cache=cache)
+            status = snapshot_status(store, cache=cache)
+            assert status["last_id"] == 2 and status["fresh"]
+        finally:
+            store.close()
+
+    def test_engines_json_lists_last_id(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        state_dir = str(tmp_path / "state")
+        session = AdvisorSession(store=StateStore(
+            root=state_dir, store_backend="sqlite"))
+        name = session.deploy(make_config(skus=list(SKUS))).name
+        session.data_store(name).append_points([_point()])
+        session.advise(AdviseRequest(deployment=name))
+        capsys.readouterr()
+        assert main(["--state-dir", state_dir, "engines", "--json"]) == 0
+        snapshots = json.loads(capsys.readouterr().out)["snapshots"]
+        assert [(s["deployment"], s["last_id"]) for s in snapshots] == \
+            [(name, 1)]
