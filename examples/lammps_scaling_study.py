@@ -48,7 +48,7 @@ for path in plots.paths:
     print(f"wrote {path}")
 
 # Console view of the headline series.
-dataset = session.dataset(info.name)
+dataset = session.snapshot(info.name)
 for builder in (speedup, efficiency):
     data = builder(dataset)
     print(f"\n{data.title} [{data.subtitle}]")

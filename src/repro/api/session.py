@@ -97,11 +97,11 @@ class AdvisorSession:
         self.store = store
         self.deployer = deployer or Deployer()
         self._deployments: Dict[str, Deployment] = {}
+        #: Ephemeral sessions' corpora (persistent ones read the store).
         self._datasets: Dict[str, Dataset] = {}
-        self._dataset_sigs: Dict[str, Tuple[int, int]] = {}
         self._taskdbs: Dict[str, TaskDB] = {}
-        self._taskdb_sigs: Dict[str, Tuple[int, int]] = {}
-        self._count_cache: Dict[str, Tuple[Tuple[int, int], int]] = {}
+        self._taskdb_sigs: Dict[str, Tuple] = {}
+        self._count_cache: Dict[str, Tuple[Tuple, int]] = {}
         self._backends: Dict[Tuple[str, str], object] = {}
 
     # -- deploy -----------------------------------------------------------------
@@ -168,7 +168,6 @@ class AdvisorSession:
             # Plots are regenerable from the archived dataset.
             shutil.rmtree(self.store.plots_dir(name), ignore_errors=True)
         self._datasets.pop(name, None)
-        self._dataset_sigs.pop(name, None)
         self._taskdbs.pop(name, None)
         self._taskdb_sigs.pop(name, None)
         self._count_cache.pop(name, None)
@@ -294,7 +293,6 @@ class AdvisorSession:
             del self._backends[key]
         if purge_data:
             self._datasets.pop(name, None)
-            self._dataset_sigs.pop(name, None)
             self._taskdbs.pop(name, None)
             self._taskdb_sigs.pop(name, None)
             self._count_cache.pop(name, None)
@@ -307,25 +305,14 @@ class AdvisorSession:
             return None
         return self.store.data_store(name)
 
-    def _no_data_yet(self, name: str) -> bool:
-        """True when nothing was ever persisted for the deployment.
-
-        Read paths check this *before* opening the backend: opening
-        creates the (empty) SQLite database as a side effect, and a
-        listing over N never-collected deployments must not litter the
-        state dir with N empty databases.
-        """
-        return self.store is not None and not self.store.data_files(name)
-
     def dataset(self, name: str, must_exist: bool = True) -> Dataset:
-        """The deployment's full dataset (cached; store-backed when
-        persisted, so appends write through incrementally).
+        """The deployment's full dataset as ``DataPoint`` objects.
 
-        The cache is invalidated whenever the store changed underneath
-        (e.g. a ``collect`` run while the GUI server keeps its session),
-        so long-lived sessions never serve stale data.  Filtered reads
-        should prefer :meth:`query_dataset`, which pushes the filter
-        down to the storage engine instead of materializing everything.
+        Persistent sessions read the whole corpus from the store on
+        every call, into a store-backed :class:`Dataset` (appends write
+        through).  Reads that filter, aggregate or plot should use
+        :meth:`snapshot` (columns) or :meth:`query_dataset` (a query
+        pushed down to the storage engine) instead.
         """
         if self.store is None:
             if name not in self._datasets:
@@ -336,59 +323,46 @@ class AdvisorSession:
                     )
                 self._datasets[name] = Dataset()
             return self._datasets[name]
-        if must_exist and self._no_data_yet(name):
+        backend = self._existing_store(name, must_exist)
+        if backend is None:
+            backend = self.data_store(name)
+            return Dataset(path=backend.dataset_display_path, store=backend)
+        return Dataset(backend.query_points(),
+                       path=backend.dataset_display_path, store=backend)
+
+    def _existing_store(self, name: str,
+                        must_exist: bool) -> Optional[StoreBackend]:
+        """The persistent deployment's backend once a sweep has stored a
+        dataset there; otherwise None, or ReproError with ``must_exist``.
+
+        Data files are checked *before* opening the backend: opening
+        creates the (empty) SQLite database as a side effect, and a
+        listing over N never-collected deployments must not litter the
+        state dir with N empty databases.
+        """
+        if self.store.data_files(name):
+            backend = self.data_store(name)
+            if backend.exists():
+                return backend
+        if must_exist:
             raise ReproError(
                 f"no dataset for deployment {name!r}; run collect first"
             )
-        backend = self.data_store(name)
-        sig = backend.dataset_signature()
-        if name in self._datasets and self._dataset_sigs.get(name) == sig:
-            return self._datasets[name]
-        self._datasets.pop(name, None)
-        self._dataset_sigs.pop(name, None)
-        if not backend.exists():
-            if must_exist:
-                raise ReproError(
-                    f"no dataset for deployment {name!r}; "
-                    "run collect first"
-                )
-            dataset = Dataset(path=backend.dataset_display_path,
-                              store=backend)
-        else:
-            dataset = Dataset(backend.query_points(),
-                              path=backend.dataset_display_path,
-                              store=backend)
-        self._datasets[name] = dataset
-        self._dataset_sigs[name] = sig
-        return dataset
+        return None
 
     def query_dataset(self, name: str, query: Query,
                       must_exist: bool = True) -> Dataset:
         """A filtered view of the deployment's dataset.
 
-        When the full dataset is already cached and fresh, the query is
-        applied in memory; otherwise it is pushed down to the storage
-        engine, so only matching points are deserialized — this is the
-        read path ``advise``/``plot``/``predict`` and the service's
-        ``/v1/datapoints`` all go through.
+        Persistent sessions push the query down to the storage engine,
+        so only matching points are deserialized; this is the read path
+        of the ``objects`` advice engine and the service's
+        ``/v1/datapoints``.
         """
         if self.store is None:
             return self.dataset(name, must_exist=must_exist).query(query)
-        if must_exist and self._no_data_yet(name):
-            raise ReproError(
-                f"no dataset for deployment {name!r}; run collect first"
-            )
-        backend = self.data_store(name)
-        if (name in self._datasets
-                and self._dataset_sigs.get(name)
-                == backend.dataset_signature()):
-            return self._datasets[name].query(query)
-        if not backend.exists():
-            if must_exist:
-                raise ReproError(
-                    f"no dataset for deployment {name!r}; "
-                    "run collect first"
-                )
+        backend = self._existing_store(name, must_exist)
+        if backend is None:
             return Dataset()
         # Deliberately storeless AND pathless: a filtered view is a
         # read-only snapshot — saving it anywhere, least of all over the
@@ -411,17 +385,8 @@ class AdvisorSession:
         if self.store is None:
             return ColumnarSnapshot.from_points(
                 self.dataset(name, must_exist=must_exist).points())
-        if must_exist and self._no_data_yet(name):
-            raise ReproError(
-                f"no dataset for deployment {name!r}; run collect first"
-            )
-        backend = self.data_store(name)
-        if not backend.exists():
-            if must_exist:
-                raise ReproError(
-                    f"no dataset for deployment {name!r}; "
-                    "run collect first"
-                )
+        backend = self._existing_store(name, must_exist)
+        if backend is None:
             return ColumnarSnapshot.from_points([])
         with telemetry.span("stage.snapshot", deployment=name,
                             backend=backend.kind) as span:
@@ -443,12 +408,8 @@ class AdvisorSession:
                 return 0
             query = (query or Query()).without_window()
             return sum(1 for p in dataset if query.matches(p))
-        if self._no_data_yet(name):
-            return 0
-        backend = self.data_store(name)
-        if not backend.exists():
-            return 0
-        return backend.count_points(query)
+        backend = self._existing_store(name, must_exist=False)
+        return backend.count_points(query) if backend is not None else 0
 
     def datapoints(self, name: str,
                    query: Optional[Query] = None) -> DataPointsResult:
@@ -600,7 +561,13 @@ class AdvisorSession:
                     file_lock(self.store.taskdb_path(name)))
                 stack.enter_context(
                     file_lock(self.store.dataset_path(name)))
-            dataset = self.dataset(name, must_exist=False)
+            # Persistent sweeps append through a write-only store-backed
+            # dataset: nothing reads the stored corpus into memory.
+            backend_store = self.data_store(name)
+            dataset = (self.dataset(name, must_exist=False)
+                       if backend_store is None else
+                       Dataset(path=backend_store.dataset_display_path,
+                               store=backend_store))
             taskdb = self.taskdb(name)
             sampler, smart = self._make_sampler(req, deployment, config,
                                                 scenarios)
@@ -632,12 +599,9 @@ class AdvisorSession:
             for stage, seconds in report.profile.items():
                 if stage != "total_s":
                     telemetry.emit_event(f"stage.{stage}", seconds)
-            # collect() wrote through our own cached objects; record the
-            # new signatures so the next dataset()/taskdb() call does not
-            # reload.
-            backend_store = self.data_store(name)
+            # collect() wrote through our own cached task DB; record the
+            # new signature so the next taskdb() call does not reload.
             if backend_store is not None:
-                self._dataset_sigs[name] = backend_store.dataset_signature()
                 self._taskdb_sigs[name] = backend_store.tasks_signature()
         return CollectResult(
             deployment=name,
@@ -662,7 +626,7 @@ class AdvisorSession:
             preemptions=report.preemptions,
             wasted_node_s=report.wasted_node_s,
             failures=tuple(report.failures),
-            dataset_points=len(dataset),
+            dataset_points=self.count_points(name),
             dataset_path=dataset.path or "",
             store_backend=(backend_store.kind
                            if backend_store is not None else ""),
@@ -1058,22 +1022,21 @@ class AdvisorSession:
         return str(self.record(name).get("region") or "")
 
     def _point_count(self, name: str) -> int:
-        if name in self._datasets:
-            return len(self.dataset(name, must_exist=False))
-        if self.store is not None and not self._no_data_yet(name):
-            backend = self.store.data_store(name)
-            if backend.exists():
-                # Cache on the store signature: listings (the GUI index
-                # polls list_deployments per request) cost a freshness
-                # probe, not a count query — and the count itself is a
-                # pushed-down COUNT(*)/line scan, never a deserialize.
-                sig = backend.dataset_signature()
-                cached = self._count_cache.get(name)
-                if cached is None or cached[0] != sig:
-                    cached = (sig, backend.count_points())
-                    self._count_cache[name] = cached
-                return cached[1]
-        return 0
+        if self.store is None:
+            return len(self._datasets.get(name, ()))
+        backend = self._existing_store(name, must_exist=False)
+        if backend is None:
+            return 0
+        # Cache on the store signature: listings (the GUI index polls
+        # list_deployments per request) cost a freshness probe, not a
+        # count query — and the count itself is a pushed-down
+        # COUNT(*)/line scan, never a deserialize.
+        sig = backend.dataset_signature()
+        cached = self._count_cache.get(name)
+        if cached is None or cached[0] != sig:
+            cached = (sig, backend.count_points())
+            self._count_cache[name] = cached
+        return cached[1]
 
 
 def _generate_scenarios(config: MainConfig):

@@ -15,30 +15,26 @@ annotation built from app variables or inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.dataset import DataPoint, Dataset
 from repro.core.query import Query
 from repro.errors import DatasetError
 from repro.store.snapshot import ColumnarSnapshot
 
 
-def _apply_query(dataset, query: Optional[Query]):
-    """The plot functions' shared data filter (None = everything).
+def _columns(dataset, query: Optional[Query] = None) -> ColumnarSnapshot:
+    """The builders' one input form: a :class:`ColumnarSnapshot`,
+    filtered by ``query`` (None = everything).
 
-    Store-backed callers should push the query down when *loading*
-    (``AdvisorSession.query_dataset``); this in-memory fallback exists
-    so ad-hoc datasets speak the same filter vocabulary.  Accepts a
-    :class:`~repro.store.snapshot.ColumnarSnapshot` as well: every
-    builder below then stays in column space.
+    Snapshots (``AdvisorSession.snapshot``) pass through; a
+    :class:`~repro.core.dataset.Dataset` or any sequence of points is
+    encoded once with :meth:`ColumnarSnapshot.from_points`.
     """
-    if query is None:
-        return dataset
-    if isinstance(dataset, ColumnarSnapshot):
-        return dataset.view(query)
-    return dataset.query(query)
+    if not isinstance(dataset, ColumnarSnapshot):
+        dataset = ColumnarSnapshot.from_points(list(dataset))
+    return dataset.view(query)
 
 
 @dataclass(frozen=True)
@@ -81,18 +77,11 @@ def _short(sku: str) -> str:
     return name.lower()
 
 
-def _group_by_sku(dataset: Dataset) -> Dict[str, List[DataPoint]]:
-    groups: Dict[str, List[DataPoint]] = {}
-    for point in dataset:
-        groups.setdefault(_short(point.sku), []).append(point)
-    return dict(sorted(groups.items()))
-
-
 def _group_rows_by_sku(snap: ColumnarSnapshot) -> Dict[str, np.ndarray]:
     """Row indices per short SKU name, rows in store order.
 
     Distinct full SKU spellings can share one short name, so grouping
-    goes through the code table (same merge the object path does).
+    goes through the code table and merges them.
     """
     codes_by_short: Dict[str, List[int]] = {}
     for code, sku in enumerate(snap.skus):
@@ -123,24 +112,10 @@ _SUBTITLE_VARS = {
 
 
 def default_subtitle(dataset) -> str:
-    """Paper-style subtitle like ``atoms=860M`` from app vars or inputs."""
-    if isinstance(dataset, ColumnarSnapshot):
-        return _subtitle_from_columns(dataset)
-    for point in dataset:
-        for key in ("LAMMPSATOMS", "OFCELLS", "WRFGRIDPOINTS", "GMXATOMS",
-                    "NAMDATOMS", "MMSIZE"):
-            if key in point.app_vars:
-                value = float(point.app_vars[key])
-                label = _SUBTITLE_VARS[key]
-                return f"{label}={_human(value)}"
-        if point.appinputs:
-            return ",".join(f"{k}={v}" for k, v in sorted(point.appinputs.items()))
-    return ""
-
-
-def _subtitle_from_columns(snap: ColumnarSnapshot) -> str:
-    # Same first-row-that-answers walk as the object path, but over the
-    # group codes (almost always returns on the first row).
+    """Paper-style subtitle like ``atoms=860M`` from app vars or inputs:
+    the first row whose app variables or inputs answer (almost always
+    the first row), walked over the group codes."""
+    snap = _columns(dataset)
     for var_code, inp_code in zip(snap.app_vars_codes.tolist(),
                                   snap.appinputs_codes.tolist()):
         app_vars = snap.app_vars_groups[var_code]
@@ -167,131 +142,89 @@ def _human(value: float) -> str:
 def exectime_vs_nodes(dataset, subtitle: Optional[str] = None,
                       query: Optional[Query] = None) -> PlotData:
     """Plot type 1 (the paper's Fig. 2)."""
-    dataset = _apply_query(dataset, query)
-    _require_points(dataset, "exec-time-vs-nodes")
-    series = []
-    if isinstance(dataset, ColumnarSnapshot):
-        nodes = dataset.nnodes.astype(np.float64)
-        for sku, rows in _group_rows_by_sku(dataset).items():
-            series.append(Series(label=sku, points=_sorted_pairs(
-                nodes[rows], dataset.exec_time_s[rows])))
-    else:
-        for sku, points in _group_by_sku(dataset).items():
-            pairs = sorted((float(p.nnodes), p.exec_time_s) for p in points)
-            series.append(Series(label=sku, points=tuple(pairs)))
+    snap = _columns(dataset, query)
+    _require_points(snap, "exec-time-vs-nodes")
+    nodes = snap.nnodes.astype(np.float64)
+    series = tuple(
+        Series(label=sku, points=_sorted_pairs(nodes[rows],
+                                               snap.exec_time_s[rows]))
+        for sku, rows in _group_rows_by_sku(snap).items())
     return PlotData(
         title="Exectime",
         xlabel="Number of VMs",
         ylabel="Execution time (seconds)",
-        series=tuple(series),
-        subtitle=subtitle if subtitle is not None else default_subtitle(dataset),
+        series=series,
+        subtitle=subtitle if subtitle is not None else default_subtitle(snap),
     )
 
 
 def exectime_vs_cost(dataset, subtitle: Optional[str] = None,
                      query: Optional[Query] = None) -> PlotData:
     """Plot type 2 (the paper's Fig. 3): x = exec time, y = cost."""
-    dataset = _apply_query(dataset, query)
-    _require_points(dataset, "exec-time-vs-cost")
-    series = []
-    if isinstance(dataset, ColumnarSnapshot):
-        for sku, rows in _group_rows_by_sku(dataset).items():
-            series.append(Series(label=sku, points=_sorted_pairs(
-                dataset.exec_time_s[rows], dataset.cost_usd[rows])))
-    else:
-        for sku, points in _group_by_sku(dataset).items():
-            pairs = sorted((p.exec_time_s, p.cost_usd) for p in points)
-            series.append(Series(label=sku, points=tuple(pairs)))
+    snap = _columns(dataset, query)
+    _require_points(snap, "exec-time-vs-cost")
+    series = tuple(
+        Series(label=sku, points=_sorted_pairs(snap.exec_time_s[rows],
+                                               snap.cost_usd[rows]))
+        for sku, rows in _group_rows_by_sku(snap).items())
     return PlotData(
         title="Cost",
         xlabel="Execution time (seconds)",
         ylabel="Cost (USD)",
-        series=tuple(series),
-        subtitle=subtitle if subtitle is not None else default_subtitle(dataset),
+        series=series,
+        subtitle=subtitle if subtitle is not None else default_subtitle(snap),
     )
 
 
-def _baseline_time(points: List[DataPoint]) -> Tuple[float, float]:
-    """(nodes, time) of the smallest-node measurement for a SKU.
+def _speedups(snap: ColumnarSnapshot
+              ) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
+    """(short SKU, node counts, speedups) per SKU over its timed rows.
 
     The paper defines speedup vs the single-node run; when a sweep starts
     above one node (their Figures start at 2), the smallest run is the
-    reference and speedup is normalised by the node ratio.
+    reference and speedup is normalised by the node ratio.  ``argmin``
+    picks the first minimal-node row in store order.
     """
-    reference = min(points, key=lambda p: p.nnodes)
-    return float(reference.nnodes), reference.exec_time_s
-
-
-def _baseline_time_rows(snap: ColumnarSnapshot,
-                        rows: np.ndarray) -> Tuple[float, float]:
-    # argmin picks the first minimal-node row, like min() over points.
-    ref = rows[int(np.argmin(snap.nnodes[rows]))]
-    return float(snap.nnodes[ref]), float(snap.exec_time_s[ref])
+    for sku, rows in _group_rows_by_sku(snap).items():
+        ref = rows[int(np.argmin(snap.nnodes[rows]))]
+        ref_work = float(snap.nnodes[ref]) * float(snap.exec_time_s[ref])
+        keep = rows[snap.exec_time_s[rows] > 0]
+        yield sku, snap.nnodes[keep], ref_work / snap.exec_time_s[keep]
 
 
 def speedup(dataset, subtitle: Optional[str] = None,
             query: Optional[Query] = None) -> PlotData:
     """Plot type 3 (the paper's Fig. 4)."""
-    dataset = _apply_query(dataset, query)
-    _require_points(dataset, "speedup")
-    series = []
-    if isinstance(dataset, ColumnarSnapshot):
-        for sku, rows in _group_rows_by_sku(dataset).items():
-            ref_nodes, ref_time = _baseline_time_rows(dataset, rows)
-            keep = rows[dataset.exec_time_s[rows] > 0]
-            series.append(Series(label=sku, points=_sorted_pairs(
-                dataset.nnodes[keep].astype(np.float64),
-                ref_nodes * ref_time / dataset.exec_time_s[keep])))
-    else:
-        for sku, points in _group_by_sku(dataset).items():
-            ref_nodes, ref_time = _baseline_time(points)
-            pairs = sorted(
-                (float(p.nnodes), ref_nodes * ref_time / p.exec_time_s)
-                for p in points
-                if p.exec_time_s > 0
-            )
-            series.append(Series(label=sku, points=tuple(pairs)))
+    snap = _columns(dataset, query)
+    _require_points(snap, "speedup")
+    series = tuple(
+        Series(label=sku, points=_sorted_pairs(nodes.astype(np.float64),
+                                               gains))
+        for sku, nodes, gains in _speedups(snap))
     return PlotData(
         title="Speedup",
         xlabel="Number of VMs",
         ylabel="Speedup",
-        series=tuple(series),
-        subtitle=subtitle if subtitle is not None else default_subtitle(dataset),
+        series=series,
+        subtitle=subtitle if subtitle is not None else default_subtitle(snap),
     )
 
 
 def efficiency(dataset, subtitle: Optional[str] = None,
                query: Optional[Query] = None) -> PlotData:
     """Plot type 4 (the paper's Fig. 5): speedup / nodes, >1 is superlinear."""
-    dataset = _apply_query(dataset, query)
-    _require_points(dataset, "efficiency")
-    series = []
-    if isinstance(dataset, ColumnarSnapshot):
-        for sku, rows in _group_rows_by_sku(dataset).items():
-            ref_nodes, ref_time = _baseline_time_rows(dataset, rows)
-            keep = rows[dataset.exec_time_s[rows] > 0]
-            series.append(Series(label=sku, points=_sorted_pairs(
-                dataset.nnodes[keep].astype(np.float64),
-                ref_nodes * ref_time / dataset.exec_time_s[keep]
-                / dataset.nnodes[keep])))
-    else:
-        for sku, points in _group_by_sku(dataset).items():
-            ref_nodes, ref_time = _baseline_time(points)
-            pairs = sorted(
-                (
-                    float(p.nnodes),
-                    ref_nodes * ref_time / p.exec_time_s / p.nnodes,
-                )
-                for p in points
-                if p.exec_time_s > 0
-            )
-            series.append(Series(label=sku, points=tuple(pairs)))
+    snap = _columns(dataset, query)
+    _require_points(snap, "efficiency")
+    series = tuple(
+        Series(label=sku, points=_sorted_pairs(nodes.astype(np.float64),
+                                               gains / nodes))
+        for sku, nodes, gains in _speedups(snap))
     return PlotData(
         title="Efficiency",
         xlabel="Number of VMs",
         ylabel="Efficiency",
-        series=tuple(series),
-        subtitle=subtitle if subtitle is not None else default_subtitle(dataset),
+        series=series,
+        subtitle=subtitle if subtitle is not None else default_subtitle(snap),
     )
 
 
@@ -299,12 +232,9 @@ def pareto_scatter(dataset) -> Tuple[PlotData, Series]:
     """The Fig. 6 concept plot: all scenarios plus the Pareto front line."""
     from repro.core.pareto import pareto_front
 
-    _require_points(dataset, "pareto")
-    if isinstance(dataset, ColumnarSnapshot):
-        all_points = list(_sorted_pairs(dataset.exec_time_s,
-                                        dataset.cost_usd))
-    else:
-        all_points = sorted((p.exec_time_s, p.cost_usd) for p in dataset)
+    snap = _columns(dataset)
+    _require_points(snap, "pareto")
+    all_points = list(_sorted_pairs(snap.exec_time_s, snap.cost_usd))
     front = pareto_front(all_points)
     scatter = PlotData(
         title="Advice based on pareto front",

@@ -11,7 +11,6 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.dataset import Dataset
 from repro.core.plotdata import (
     PlotData,
     efficiency,
@@ -34,9 +33,9 @@ class GeneratedPlot:
     data: PlotData
 
 
-def build_plot(dataset: Dataset, kind: str,
+def build_plot(dataset, kind: str,
                subtitle: Optional[str] = None) -> PlotData:
-    """Build the PlotData for one chart type."""
+    """Build the PlotData for one chart type (a snapshot or dataset)."""
     builders = {
         "exectime": exectime_vs_nodes,
         "cost": exectime_vs_cost,
@@ -53,7 +52,7 @@ def build_plot(dataset: Dataset, kind: str,
 
 
 def generate_plots(
-    dataset: Dataset,
+    dataset,
     output_dir: str,
     kinds: Optional[List[str]] = None,
     subtitle: Optional[str] = None,

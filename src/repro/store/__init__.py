@@ -25,8 +25,8 @@ from repro.errors import ConfigError
 from repro.store.base import StoreBackend
 from repro.store.jsonl import JsonlStore
 from repro.store.snapshot import (ColumnarSnapshot, SnapshotCache,
-                                  aggregate_snapshot, snapshot_cache,
-                                  snapshot_for_store, snapshot_status)
+                                  snapshot_cache, snapshot_for_store,
+                                  snapshot_status)
 from repro.store.sqlite import SqliteStore
 
 #: Environment knob selecting the engine for newly-opened state.
@@ -151,7 +151,6 @@ __all__ = [
     "SnapshotCache",
     "SqliteStore",
     "StoreBackend",
-    "aggregate_snapshot",
     "open_deployment_store",
     "resolve_backend",
     "set_default_backend",

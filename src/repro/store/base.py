@@ -124,18 +124,6 @@ class StoreBackend(abc.ABC):
         """
         return None
 
-    def aggregate_points(
-            self, query: Optional[Query] = None) -> Optional[Dict]:
-        """Cheap dataset aggregates, pushed down to the engine.
-
-        Shape: ``{"count", "exec_time_s": {"min","max"}, "cost_usd":
-        {"min","max"}, "groups": [{"sku","nnodes","count"}, ...]}``
-        with groups sorted by (sku, nnodes).  ``None`` means no
-        pushdown — compute from a snapshot instead (see
-        :func:`repro.store.snapshot.aggregate_snapshot`).
-        """
-        return None
-
     # -- task records ----------------------------------------------------------
 
     @abc.abstractmethod
@@ -152,10 +140,6 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def load_tasks(self) -> List[TaskRecord]:
         """All task records in insertion order."""
-
-    @abc.abstractmethod
-    def count_tasks(self) -> int:
-        """Number of stored task records."""
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -180,8 +164,9 @@ class StoreBackend(abc.ABC):
         """Freshness token for dataset caches.
 
         Changes whenever this or any other process/connection may have
-        altered the stored points; equal tokens mean a cached copy is
-        still current.
+        altered the stored points, or the storage was replaced by other
+        storage at the same path; equal tokens mean a cached copy is
+        still current.  Snapshot caches and service ETags key on it.
         """
 
     @abc.abstractmethod
@@ -205,8 +190,3 @@ class StoreBackend(abc.ABC):
     def tasks_display_path(self) -> str:
         """Human-facing location of the task records."""
         return self.dataset_display_path
-
-    @property
-    @abc.abstractmethod
-    def data_paths(self) -> Tuple[str, ...]:
-        """Every on-disk file this store may own (for archive/purge)."""

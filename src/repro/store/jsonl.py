@@ -108,9 +108,6 @@ class JsonlStore(StoreBackend):
                 return []
             return TaskDB.load(self.taskdb_path).all()
 
-    def count_tasks(self) -> int:
-        return len(self.load_tasks())
-
     # -- lifecycle -------------------------------------------------------------
 
     def flush_points(self) -> None:
@@ -136,7 +133,3 @@ class JsonlStore(StoreBackend):
     @property
     def tasks_display_path(self) -> str:
         return self.taskdb_path
-
-    @property
-    def data_paths(self) -> Tuple[str, ...]:
-        return (self.dataset_path, self.taskdb_path)

@@ -21,10 +21,12 @@ redeploy) is refused by the store and the build starts from empty.
 Stores without a column fetch (JSONL) rebuild through ``query_points``.
 
 Freshness is keyed on the *same* change token the service's ETag
-response cache uses — :meth:`StoreBackend.dataset_signature` — so a
-snapshot can never serve data an ETag would have revalidated: whenever
-the ETag key changes, the snapshot misses and is extended or rebuilt,
-and vice versa.
+response cache uses — :meth:`StoreBackend.dataset_signature`, which on
+SQLite is ``(store_id, generation)`` — so a snapshot can never serve
+data an ETag would have revalidated: whenever the ETag key changes, the
+snapshot misses and is extended or rebuilt, and vice versa.  Because
+the token names the database, a purged and redeployed store never
+matches its predecessor's entry, even at the same path and generation.
 
 Row order is store order (``ORDER BY id`` / file order), identical to
 ``query_points()``, so positional indices agree with the object path.
@@ -50,7 +52,6 @@ from repro.telemetry import global_registry
 __all__ = [
     "ColumnarSnapshot",
     "SnapshotCache",
-    "aggregate_snapshot",
     "snapshot_cache",
     "snapshot_for_store",
     "snapshot_status",
@@ -393,36 +394,6 @@ class ColumnarSnapshot:
         return [self.point(i) for i in range(self.n)]
 
 
-# -- aggregates -------------------------------------------------------------------
-
-def aggregate_snapshot(snap: ColumnarSnapshot) -> Dict[str, Any]:
-    """count/min/max/group-by sku×nnodes, computed from columns.
-
-    Same shape as :meth:`StoreBackend.aggregate_points`, so callers can
-    fall back to a snapshot when the backend has no SQL pushdown.
-    """
-    if snap.n == 0:
-        return {"count": 0, "exec_time_s": {"min": None, "max": None},
-                "cost_usd": {"min": None, "max": None}, "groups": []}
-    pair_codes = snap.sku_codes.astype(np.int64) * (snap.nnodes.max() + 1) \
-        + snap.nnodes
-    uniq, counts = np.unique(pair_codes, return_counts=True)
-    span = int(snap.nnodes.max() + 1)
-    groups = sorted(
-        ({"sku": snap.skus[int(u) // span], "nnodes": int(u) % span,
-          "count": int(c)} for u, c in zip(uniq, counts)),
-        key=lambda g: (g["sku"], g["nnodes"]),
-    )
-    return {
-        "count": snap.n,
-        "exec_time_s": {"min": float(snap.exec_time_s.min()),
-                        "max": float(snap.exec_time_s.max())},
-        "cost_usd": {"min": float(snap.cost_usd.min()),
-                     "max": float(snap.cost_usd.max())},
-        "groups": groups,
-    }
-
-
 # -- the per-process snapshot cache ----------------------------------------------
 
 class SnapshotCache:
@@ -473,20 +444,15 @@ def _cache_key(backend) -> Tuple[str, str]:
     return (backend.kind, backend.dataset_display_path)
 
 
-def _same_store(snap: ColumnarSnapshot, backend) -> bool:
-    """Was ``snap`` built from the database ``backend`` holds now?"""
-    return (snap.cursor[0] if snap.cursor else None) == backend.store_id
-
-
 def snapshot_for_store(backend,
                        cache: Optional[SnapshotCache] = None,
                        span=None) -> ColumnarSnapshot:
     """The backend's current corpus as a snapshot, via the LRU.
 
-    A fresh entry (same ``dataset_signature``, same store) is returned
-    as-is.  A stale one from the same store is extended with the rows
-    appended since its cursor; a missing one, or one from a store that
-    was replaced, is built from empty through the same call.  Backends
+    A fresh entry (same ``dataset_signature``) is returned as-is.  A
+    stale one is extended with the rows appended since its cursor; a
+    missing one, or one whose cursor the store refuses (the database
+    was replaced), is built from empty through the same call.  Backends
     without a column fetch rebuild through ``query_points``.  ``span``
     (a live telemetry span) receives the ``mode`` (``hit``/``full``/
     ``delta``) and ``delta_rows`` attributes.
@@ -495,7 +461,7 @@ def snapshot_for_store(backend,
     signature = backend.dataset_signature()
     key = _cache_key(backend)
     snap = cache.get(key, signature)
-    if snap is not None and _same_store(snap, backend):
+    if snap is not None:
         _HITS.labels(kind=backend.kind).inc()
         if span is not None:
             span.set("mode", "hit")
@@ -541,8 +507,7 @@ def snapshot_status(backend,
         "backend": backend.kind,
         "column_fetch": backend.supports_column_fetch,
         "cached": snap is not None,
-        "fresh": (snap is not None and entry[0] == signature
-                  and _same_store(snap, backend)),
+        "fresh": snap is not None and entry[0] == signature,
         "rows": (snap.n if snap is not None else None),
         "last_id": (snap.cursor[1] if snap is not None and snap.cursor
                     else None),

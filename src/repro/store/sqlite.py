@@ -30,10 +30,16 @@ task records.  Design points:
   workers read while a sweep writes; writers additionally serialize on
   the state directory's advisory file locks, same as the JSONL layout.
 
-Freshness tokens combine SQLite's ``data_version`` pragma (bumped by
-*other* connections' commits) with this connection's ``total_changes``
-(bumped by our own writes), so session caches see both local and
-external updates without polling file mtimes.
+Freshness tokens are ``(store_id, generation)``: a per-table counter in
+``meta`` (``points_gen`` / ``tasks_gen``) is bumped inside every write
+transaction, by this connection or any other, so a point append never
+invalidates task caches and vice versa.  The ``store_id`` half makes
+tokens of two databases unequal even when a purged file's successor
+reuses its path, inode number and generation count — so the columnar
+snapshot LRU and the service's ETag cache, both keyed on this token,
+never serve the old database's data.  ``("missing",)`` means the file
+is gone.  The inode is checked only by :meth:`SqliteStore.is_valid`,
+which tells a cached handle to reopen after a purge or archive.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import re
 import secrets
 import sqlite3
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import DataPoint
 from repro.core.query import Query
@@ -245,35 +251,6 @@ class SqliteStore(StoreBackend):
         # commit landing meanwhile is neither skipped nor fetched twice.
         return rows, (self.store_id, rows[-1][-1] if rows else last_id)
 
-    def aggregate_points(
-            self, query: Optional[Query] = None) -> Optional[Dict]:
-        query = (query or Query()).without_window()
-        where, params, fully_pushed = self._translate(query)
-        if not fully_pushed:
-            return None
-        with self._timed("count"), self._lock:
-            count, lo_t, hi_t, lo_c, hi_c = self._conn.execute(
-                "SELECT COUNT(*),"
-                " MIN(json_extract(payload, '$.exec_time_s')),"
-                " MAX(json_extract(payload, '$.exec_time_s')),"
-                " MIN(json_extract(payload, '$.cost_usd')),"
-                " MAX(json_extract(payload, '$.cost_usd'))"
-                " FROM datapoints" + where, params
-            ).fetchone()
-            groups = self._conn.execute(
-                "SELECT sku, nnodes, COUNT(*) FROM datapoints" + where +
-                " GROUP BY sku, nnodes ORDER BY sku, nnodes", params
-            ).fetchall()
-        return {
-            "count": int(count),
-            "exec_time_s": {"min": None if lo_t is None else float(lo_t),
-                            "max": None if hi_t is None else float(hi_t)},
-            "cost_usd": {"min": None if lo_c is None else float(lo_c),
-                         "max": None if hi_c is None else float(hi_c)},
-            "groups": [{"sku": str(sku), "nnodes": int(n),
-                        "count": int(c)} for sku, n, c in groups],
-        }
-
     def _translate(self, query: Query) -> Tuple[str, list, bool]:
         """(WHERE clause, parameters, fully-pushed?) for a query.
 
@@ -358,12 +335,6 @@ class SqliteStore(StoreBackend):
             ).fetchall()
         return [TaskRecord.from_dict(json.loads(row[0])) for row in rows]
 
-    def count_tasks(self) -> int:
-        with self._lock:
-            return int(self._conn.execute(
-                "SELECT COUNT(*) FROM tasks"
-            ).fetchone()[0])
-
     # -- lifecycle -------------------------------------------------------------
 
     def flush_points(self) -> None:
@@ -388,15 +359,10 @@ class SqliteStore(StoreBackend):
             ).fetchone()[0] == 1
 
     def _signature(self, counter: str) -> Tuple:
-        ino = self._stat_ino()
-        if ino is None:
+        if not os.path.exists(self.db_path):
             return ("missing",)
         with self._lock:
-            # The per-table generation counter is bumped inside every
-            # write transaction (ours or another connection's), so a
-            # task upsert never invalidates the dataset cache and a
-            # point append never invalidates the task cache.
-            return (ino, self._gen(counter))
+            return (self.store_id, self._gen(counter))
 
     def dataset_signature(self) -> Tuple:
         return self._signature("points_gen")
@@ -416,10 +382,6 @@ class SqliteStore(StoreBackend):
     @property
     def dataset_display_path(self) -> str:
         return self.db_path
-
-    @property
-    def data_paths(self) -> Tuple[str, ...]:
-        return (self.db_path, self.db_path + "-wal", self.db_path + "-shm")
 
     def __getstate__(self):  # pragma: no cover - guard rail
         raise DatasetError("SqliteStore handles cannot be pickled")

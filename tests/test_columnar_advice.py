@@ -430,7 +430,8 @@ class TestSnapshotRobustness:
             self, tmp_path, monkeypatch, reused_inode):
         """Same name, same path, same generation count, warm cache: the
         snapshot holds only the new database's rows — also when the new
-        file reuses the old inode, so the signatures are equal."""
+        file reuses the old inode number, because the signature names
+        the database, not the inode."""
         session = AdvisorSession(store=StateStore(
             root=str(tmp_path), store_backend="sqlite"))
         config = make_config(skus=list(SKUS))
@@ -438,16 +439,21 @@ class TestSnapshotRobustness:
         old = session.data_store(name)
         old.append_points([_point(SKUS[0], 10.0), _point(SKUS[0], 11.0)])
         old_id, old_signature = old.store_id, old.dataset_signature()
+        old_ino = old._stat_ino()
         assert snapshot_for_store(old).n == 2  # warm process-wide cache
 
         session.shutdown(name, purge_data=True)
         assert session.deploy(config).name == name
+        if reused_inode:
+            # Every stat of the new file reports the old inode number.
+            monkeypatch.setattr(SqliteStore, "_stat_ino",
+                                lambda self: old_ino)
         new = session.data_store(name)
         assert new.store_id != old_id
         new.append_points([_point(SKUS[1], 7.0)])
-        if reused_inode:
-            monkeypatch.setattr(new, "dataset_signature",
-                                lambda: old_signature)
+        assert new.is_valid()
+        assert new.dataset_signature()[1] == old_signature[1]
+        assert new.dataset_signature() != old_signature
         span = SpanRecorder()
         snap = snapshot_for_store(new, span=span)
         assert span.attrs == {"mode": "full", "delta_rows": 1}

@@ -167,6 +167,44 @@ class TestCachedRoutes:
         assert revalidated.status == 200
         assert revalidated.headers["ETag"] != stale_etag
 
+    def test_etag_rolls_across_purge_and_redeploy(self, router,
+                                                  monkeypatch):
+        """A purged deployment redeployed under the same name, whose new
+        database reuses the old inode number and reaches the same
+        generation count, must not revalidate the old database's ETag."""
+        from repro.core.dataset import DataPoint
+        from repro.store.sqlite import SqliteStore
+
+        monkeypatch.setenv("REPRO_STORE", "sqlite")
+        # Every database file stats as the same inode number.
+        monkeypatch.setattr(SqliteStore, "_stat_ino", lambda self: 4242)
+        session = router.state.session
+        config = make_config(rgprefix="cachepurgerg")
+
+        def deploy_with(skus):
+            name = session.deploy(config).name
+            # One append call each: both databases reach generation 1.
+            session.data_store(name).append_points([DataPoint(
+                appname="lammps", sku=sku, nnodes=2, ppn=120,
+                exec_time_s=10.0, cost_usd=1.0, deployment=name,
+            ) for sku in skus])
+            return name
+
+        name = deploy_with(["Standard_HB120rs_v2", "Standard_HB120rs_v2"])
+        old = router.handle("GET", f"/v1/datapoints?deployment={name}")
+        assert old.status == 200 and old.payload["total"] == 2
+
+        session.shutdown(name, purge_data=True)
+        assert deploy_with(["Standard_HB120rs_v3"]) == name
+        replayed = router.handle(
+            "GET", f"/v1/datapoints?deployment={name}",
+            headers={"If-None-Match": old.headers["ETag"]})
+        assert replayed.status == 200
+        assert replayed.headers["ETag"] != old.headers["ETag"]
+        assert replayed.payload["total"] == 1
+        assert [p["sku"] for p in replayed.payload["points"]] \
+            == ["Standard_HB120rs_v3"]
+
     def test_query_params_partition_the_cache(self, router):
         name = deploy_collected(router)
         plain = router.handle("GET", f"/v1/advice?deployment={name}")
