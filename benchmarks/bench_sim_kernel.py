@@ -26,7 +26,8 @@ floor.
 A second, smaller **spot** grid (a tenth of the input count, seeded
 ``EvictionModel`` at 40 evictions/hour/node, checkpoint_restart
 recovery) times the vectorized eviction/recovery renewal walk against
-the sequential per-attempt walk, in-memory rows on both sides.
+the per-object scheduler's per-attempt walk, in-memory rows on both
+sides.
 Acceptance: >= 3x at the 4,080-scenario spot scale (override with
 ``BENCH_SIM_SPOT_FLOOR``; grid size with ``BENCH_SIM_SPOT_INPUTS``).
 
@@ -81,8 +82,8 @@ ACCEPTANCE_SCENARIOS = 40_800
 
 #: Acceptance floor for the seeded spot grid: the vectorized renewal
 #: walk (eviction draws prefetched per SKU group, pool bookkeeping on
-#: the live-node view) must clear 3x end to end over the sequential
-#: per-attempt walk.  Override with ``BENCH_SIM_SPOT_FLOOR``.
+#: the live-node view) must clear 3x end to end over the per-object
+#: scheduler's per-attempt walk.  Override with ``BENCH_SIM_SPOT_FLOOR``.
 SPOT_SPEEDUP_FLOOR = 3.0
 
 #: Scenario count the spot floor applies at (340 inputs x 3 SKUs x 4
@@ -199,24 +200,14 @@ def _worker(engine: str, store_label: str, n_inputs: int,
 # -- equivalence gate -----------------------------------------------------------
 
 
-class _SequentialBackend(AzureBatchBackend):
-    """The plain sequential Algorithm-1 walk the batched kernel's
-    byte-equivalence contract is written against."""
-
-    @property
-    def supports_concurrency(self) -> bool:
-        return False
-
-
 def _sweep_pair(engine: str, capacity: str = "ondemand",
                 recovery: str = "restart", eviction=None):
     config = paper_config("lammps", {"BOXFACTOR": ["12", "20", "24"]},
                           [2, 4], "benchsimeq")
     deployment = Deployer().deploy(config)
-    backend_cls = (_SequentialBackend if engine == "object"
-                   else AzureBatchBackend)
     collector = DataCollector(
-        backend=backend_cls(service=deployment.batch, capacity=capacity),
+        backend=AzureBatchBackend(service=deployment.batch,
+                                  capacity=capacity),
         script=get_plugin("lammps"),
         dataset=Dataset(), taskdb=TaskDB(),
         deployment_name="benchsimeq",
@@ -248,6 +239,8 @@ def check_equivalence() -> dict:
         assert tasks_obj == tasks_bat, f"{label}: TaskRecords diverge"
         assert obj_report.task_cost_usd == bat_report.task_cost_usd
         assert obj_report.preemptions == bat_report.preemptions
+        assert obj_report.makespan_s == bat_report.makespan_s, (
+            f"{label}: makespan diverges")
         checked[label] = {"points": len(points_obj),
                           "preemptions": bat_report.preemptions}
     return checked
@@ -278,7 +271,7 @@ def run_benchmark(n_inputs: int, check: bool = True,
                   f"   {row['us_per_scenario']:8.1f} us/scenario"
                   f"   {row['scenarios_per_s']:9.0f} scenarios/s")
 
-    # Seeded spot grid: the vectorized renewal walk vs the sequential
+    # Seeded spot grid: the vectorized renewal walk vs the per-object
     # per-attempt walk, in-memory rows (the store is not what a spot
     # sweep stresses — preemption bookkeeping is).
     spot_inputs = _env_int("BENCH_SIM_SPOT_INPUTS", max(25, n_inputs // 10))
@@ -339,7 +332,7 @@ def run_benchmark(n_inputs: int, check: bool = True,
         )
         assert spot_speedup >= spot_floor, (
             f"batched spot sweep {spot_speedup:.2f}x over the "
-            f"sequential walk, below the {spot_floor:.1f}x floor at "
+            f"per-object scheduler, below the {spot_floor:.1f}x floor at "
             f"{spot_scenarios} scenarios"
         )
     return results

@@ -532,10 +532,6 @@ class AdvisorSession:
             else:
                 eviction = EvictionModel(region=config.region,
                                          seed=req.eviction_seed)
-        # The cached backend accumulates over the deployment's lifetime;
-        # snapshot its counters so this result reports per-sweep numbers.
-        infra_before = exec_backend.total_infrastructure_cost_usd
-        provisioning_before = exec_backend.provisioning_overhead_s
 
         # The sweep is one read-modify-write transaction on the task DB
         # and dataset files: hold their advisory locks from *load* to
@@ -612,10 +608,8 @@ class AdvisorSession:
             skipped=report.skipped,
             predicted=report.predicted,
             task_cost_usd=report.task_cost_usd,
-            infrastructure_cost_usd=(report.infrastructure_cost_usd
-                                     - infra_before),
-            provisioning_overhead_s=(report.provisioning_overhead_s
-                                     - provisioning_before),
+            infrastructure_cost_usd=report.infrastructure_cost_usd,
+            provisioning_overhead_s=report.provisioning_overhead_s,
             simulated_wall_s=report.simulated_wall_s,
             makespan_s=report.makespan_s,
             max_parallel_pools=report.max_parallel_pools,

@@ -36,6 +36,9 @@ class AzureBatchBackend(ExecutionBackend):
 
     service: BatchService
     noise: Optional["NoiseModel"] = None
+    #: Prefix of the per-pool job ids.  One job per pool is the Batch
+    #: pattern; jobs are created lazily as pools appear (a job must
+    #: reference an existing pool).
     job_id: str = "hpcadvisor-job"
     #: Capacity tier for pools created from here on: ``ondemand`` (the
     #: paper's billing) or ``spot`` (discounted, interruptible).  Spot
@@ -46,19 +49,9 @@ class AzureBatchBackend(ExecutionBackend):
     _provisioning_s: float = 0.0
     _setup_done: Dict[str, bool] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.job_id not in self.service.jobs:
-            # One job per pool is the Batch pattern; jobs are created lazily
-            # as pools appear (a job must reference an existing pool).
-            pass
-
     @property
     def name(self) -> str:
         return "azurebatch"
-
-    @property
-    def supports_concurrency(self) -> bool:
-        return True
 
     @property
     def supports_preemption(self) -> bool:
@@ -72,12 +65,6 @@ class AzureBatchBackend(ExecutionBackend):
         return pool_id_for(sku_name, self.capacity)
 
     # -- capacity ----------------------------------------------------------------
-
-    def ensure_capacity(self, sku_name: str, nodes: int) -> None:
-        op = self.submit_provision(sku_name, nodes)
-        if op.ready_at > self.service.clock.now:
-            self.service.clock.advance_to(op.ready_at)
-        op.finish()
 
     def submit_provision(self, sku_name: str, nodes: int) -> AsyncOp:
         pool_id = self._pool_id(sku_name)
@@ -126,15 +113,6 @@ class AzureBatchBackend(ExecutionBackend):
     def needs_setup(self, sku_name: str) -> bool:
         return not self._setup_done.get(self._pool_id(sku_name), False)
 
-    def run_setup(self, sku_name: str, script: AppScript) -> bool:
-        if not self.needs_setup(sku_name):
-            return True
-        self.ensure_capacity(sku_name, 1)
-        op = self.submit_setup(sku_name, script)
-        if op.ready_at > self.service.clock.now:
-            self.service.clock.advance_to(op.ready_at)
-        return bool(op.finish())
-
     def submit_setup(self, sku_name: str, script: AppScript) -> AsyncOp:
         pool_id = self._pool_id(sku_name)
         if self._setup_done.get(pool_id):
@@ -153,15 +131,6 @@ class AzureBatchBackend(ExecutionBackend):
             return self._setup_done[pool_id]
 
         return AsyncOp(self._finish_eta(task), finalize)
-
-    def run_scenario(self, scenario: Scenario, script: AppScript) -> ScenarioRunResult:
-        self.ensure_capacity(scenario.sku_name, scenario.nnodes)
-        op = self.submit_scenario(scenario, script)
-        if op.ready_at > self.service.clock.now:
-            self.service.clock.advance_to(op.ready_at)
-        result = op.finish()
-        assert isinstance(result, ScenarioRunResult)
-        return result
 
     def submit_scenario(self, scenario: Scenario, script: AppScript,
                         resume_from_s: float = 0.0,

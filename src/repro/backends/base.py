@@ -3,7 +3,7 @@
 A back-end owns compute resources pinned to one VM type at a time (an Azure
 Batch pool, a Slurm partition) and can run the application's setup script
 and per-scenario compute jobs on them.  Algorithm 1's pool-recycling logic
-lives in the collector; the back-end only exposes the primitives.
+lives in the collector; the back-end only exposes split-phase primitives.
 """
 
 from __future__ import annotations
@@ -95,94 +95,54 @@ def resumed_wall_s(full_wall_s: float, resume_from_s: float,
 
 
 class ExecutionBackend(abc.ABC):
-    """Primitive operations Algorithm 1 needs from a resource manager."""
+    """Primitive operations Algorithm 1 needs from a resource manager.
+
+    The protocol is split-phase: each ``submit_*`` primitive starts an
+    operation on the back-end's :attr:`clock` and returns an
+    :class:`AsyncOp` whose ``ready_at`` says when it completes, so the
+    collector's scheduler can keep several SKU pools in flight at once.
+    A back-end whose work is instantaneous returns
+    ``AsyncOp(self.clock.now, fn)``.  The blocking conveniences
+    (:meth:`ensure_capacity`, :meth:`run_setup`, :meth:`run_scenario`)
+    are written once below over those primitives.
+    """
 
     @property
     @abc.abstractmethod
     def name(self) -> str:
         """Back-end identifier (e.g. ``azurebatch``, ``slurm``)."""
 
-    @abc.abstractmethod
-    def ensure_capacity(self, sku_name: str, nodes: int) -> None:
-        """Make ``nodes`` nodes of ``sku_name`` available.
-
-        Called when Algorithm 1 switches VM type (fresh pool) and when a
-        scenario needs more nodes than currently provisioned (the paper's
-        incremental resize).
-        """
-
-    @abc.abstractmethod
-    def run_setup(self, sku_name: str, script: AppScript) -> bool:
-        """Run the application setup for the current VM type's resources."""
-
-    @abc.abstractmethod
-    def run_scenario(self, scenario: Scenario, script: AppScript) -> ScenarioRunResult:
-        """Execute one scenario and return its measurement."""
-
-    # -- spot capacity (preemption-aware back-ends) -------------------------------
-    #
-    # Back-ends that can run on interruptible capacity set ``capacity``
-    # to ``"spot"``, report ``supports_preemption``, honour the
-    # resume/overhead parameters of :meth:`submit_scenario`, and attach
-    # an interrupt hook to scenario ops.  The defaults keep third-party
-    # back-ends valid: the collector refuses spot sweeps on them.
-
     @property
-    def supports_preemption(self) -> bool:
-        """True when scenario ops can be interrupted mid-run (spot)."""
-        return False
-
     @abc.abstractmethod
-    def release_capacity(self, sku_name: str, delete: bool) -> None:
-        """Shrink to zero (``delete=False``) or delete the SKU's resources."""
-
-    @abc.abstractmethod
-    def teardown(self) -> None:
-        """Release everything (end of collection)."""
-
-    # -- non-blocking primitives (concurrent sweeps) ------------------------------
-    #
-    # Back-ends that can keep several SKU pools in flight at once override
-    # these submit/poll primitives and report ``supports_concurrency``.
-    # The defaults keep third-party blocking-only back-ends valid: the
-    # collector falls back to the sequential Algorithm-1 loop for them.
-
-    @property
-    def supports_concurrency(self) -> bool:
-        """True when the submit_* primitives below are implemented."""
-        return False
-
-    @property
     def clock(self) -> SimClock:
         """The simulated clock shared by this back-end's resources.
 
-        Required for concurrent collection (the sweep scheduler runs an
-        event queue on it); blocking-only back-ends need not provide it.
+        The sweep scheduler runs its event queue on it; every op's
+        ``ready_at`` is a timestamp on this clock.
         """
-        raise NotImplementedError(f"{self.name} backend exposes no clock")
 
-    def needs_setup(self, sku_name: str) -> bool:
-        """True when the SKU's resources still need the application setup."""
-        return True
+    # -- split-phase primitives ----------------------------------------------------
 
+    @abc.abstractmethod
     def submit_provision(self, sku_name: str, nodes: int) -> AsyncOp:
         """Start making ``nodes`` nodes of ``sku_name`` available.
 
-        Non-blocking counterpart of :meth:`ensure_capacity`: quota is
-        allocated and billing starts immediately, but the boot wait is
-        returned as the op's ``ready_at`` instead of advancing the clock.
+        Called when Algorithm 1 switches VM type (fresh pool) and when a
+        scenario needs more nodes than currently provisioned (the paper's
+        incremental resize).  Quota is allocated and billing starts
+        immediately; the boot wait is the op's ``ready_at``.
         ``finish()`` returns ``None``.
         """
-        raise NotImplementedError(f"{self.name} backend is blocking-only")
 
+    @abc.abstractmethod
     def submit_setup(self, sku_name: str, script: AppScript) -> AsyncOp:
         """Start the application setup task; ``finish()`` returns bool.
 
         The caller must have provisioned at least one node (via a finished
         :meth:`submit_provision`) first.
         """
-        raise NotImplementedError(f"{self.name} backend is blocking-only")
 
+    @abc.abstractmethod
     def submit_scenario(self, scenario: Scenario, script: AppScript,
                         resume_from_s: float = 0.0,
                         restart_overhead_s: float = 0.0) -> AsyncOp:
@@ -197,7 +157,58 @@ class ExecutionBackend(abc.ABC):
         ignore them (the collector only passes non-zero values after an
         interruption, which requires ``supports_preemption``).
         """
-        raise NotImplementedError(f"{self.name} backend is blocking-only")
+
+    @abc.abstractmethod
+    def release_capacity(self, sku_name: str, delete: bool) -> None:
+        """Shrink to zero (``delete=False``) or delete the SKU's resources."""
+
+    @abc.abstractmethod
+    def teardown(self) -> None:
+        """Release everything (end of collection)."""
+
+    def needs_setup(self, sku_name: str) -> bool:
+        """True when the SKU's resources still need the application setup."""
+        return True
+
+    # -- spot capacity (preemption-aware back-ends) -------------------------------
+    #
+    # Back-ends that can run on interruptible capacity set ``capacity``
+    # to ``"spot"``, report ``supports_preemption``, honour the
+    # resume/overhead parameters of :meth:`submit_scenario`, and attach
+    # an interrupt hook to scenario ops.  The default keeps other
+    # back-ends valid: the collector refuses spot sweeps on them.
+
+    @property
+    def supports_preemption(self) -> bool:
+        """True when scenario ops can be interrupted mid-run (spot)."""
+        return False
+
+    # -- blocking conveniences over the primitives --------------------------------
+
+    def _wait(self, op: AsyncOp) -> object:
+        """Advance the clock to ``op.ready_at`` and finish the op."""
+        if op.ready_at > self.clock.now:
+            self.clock.advance_to(op.ready_at)
+        return op.finish()
+
+    def ensure_capacity(self, sku_name: str, nodes: int) -> None:
+        """Make ``nodes`` nodes of ``sku_name`` available, waiting for boot."""
+        self._wait(self.submit_provision(sku_name, nodes))
+
+    def run_setup(self, sku_name: str, script: AppScript) -> bool:
+        """Run the application setup for the current VM type's resources."""
+        if not self.needs_setup(sku_name):
+            return True
+        self.ensure_capacity(sku_name, 1)
+        return bool(self._wait(self.submit_setup(sku_name, script)))
+
+    def run_scenario(self, scenario: Scenario,
+                     script: AppScript) -> ScenarioRunResult:
+        """Execute one scenario and return its measurement."""
+        self.ensure_capacity(scenario.sku_name, scenario.nnodes)
+        result = self._wait(self.submit_scenario(scenario, script))
+        assert isinstance(result, ScenarioRunResult)
+        return result
 
     # -- cost/observability -------------------------------------------------------
 

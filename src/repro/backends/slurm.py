@@ -41,10 +41,6 @@ class SlurmBackend(ExecutionBackend):
         return "slurm"
 
     @property
-    def supports_concurrency(self) -> bool:
-        return True
-
-    @property
     def supports_preemption(self) -> bool:
         return True
 
@@ -54,12 +50,6 @@ class SlurmBackend(ExecutionBackend):
 
     def _partition(self, sku_name: str) -> str:
         return partition_for(sku_name, self.capacity)
-
-    def ensure_capacity(self, sku_name: str, nodes: int) -> None:
-        op = self.submit_provision(sku_name, nodes)
-        if op.ready_at > self.cluster.clock.now:
-            self.cluster.clock.advance_to(op.ready_at)
-        op.finish()
 
     def submit_provision(self, sku_name: str, nodes: int) -> AsyncOp:
         part_name = self._partition(sku_name)
@@ -84,15 +74,6 @@ class SlurmBackend(ExecutionBackend):
 
     def needs_setup(self, sku_name: str) -> bool:
         return not self._setup_done.get(self._partition(sku_name), False)
-
-    def run_setup(self, sku_name: str, script: AppScript) -> bool:
-        if not self.needs_setup(sku_name):
-            return True
-        self.ensure_capacity(sku_name, 1)
-        op = self.submit_setup(sku_name, script)
-        if op.ready_at > self.cluster.clock.now:
-            self.cluster.clock.advance_to(op.ready_at)
-        return bool(op.finish())
 
     def submit_setup(self, sku_name: str, script: AppScript) -> AsyncOp:
         part_name = self._partition(sku_name)
@@ -121,15 +102,6 @@ class SlurmBackend(ExecutionBackend):
 
         assert job.start_time is not None
         return AsyncOp(job.start_time + completion.wall_time_s, finalize)
-
-    def run_scenario(self, scenario: Scenario, script: AppScript) -> ScenarioRunResult:
-        self.ensure_capacity(scenario.sku_name, scenario.nnodes)
-        op = self.submit_scenario(scenario, script)
-        if op.ready_at > self.cluster.clock.now:
-            self.cluster.clock.advance_to(op.ready_at)
-        result = op.finish()
-        assert isinstance(result, ScenarioRunResult)
-        return result
 
     def submit_scenario(self, scenario: Scenario, script: AppScript,
                         resume_from_s: float = 0.0,

@@ -157,7 +157,7 @@ class EvictionModel:
         ``key`` identifies the attempt (scenario id, attempt number); the
         draw is a pure function of ``(seed, sku, nodes, key)`` — stateless,
         so concurrent pool schedules replay the exact same evictions as a
-        sequential walk.  Returns ``None`` when the rate is zero: a
+        one-pool walk.  Returns ``None`` when the rate is zero: a
         zero-rate spot sweep is byte-identical to an on-demand one.
         """
         rate = self.rate_per_hour(sku_name, nodes)

@@ -7,21 +7,21 @@ tight loop over the *real* execution substrate — the wrapped
 billing meters, and the shared clock.  Everything stateful (pool creation
 and resizes, quota, setup tasks staging input data on the shared
 filesystem, spot preemptions, provisioning bookkeeping) happens on those
-objects exactly as the per-object sequential walk would do it; only the
-per-scenario ceremony is gone.  Instead of constructing a
+objects exactly as the per-object scheduler at one pool would do it; only
+the per-scenario ceremony is gone.  Instead of constructing a
 ``BatchTask``/``TaskContext``/``AsyncOp`` per task and running the plugin
 against the simulated filesystem, the kernel looks the measurement up in
 a memoized :class:`~repro.simd.physics.ScenarioPhysics` table and applies
 the same clock advances, lease transitions, and accounting appends inline.
 
-The loop body is a line-for-line transliteration of
-``DataCollector._collect_sequential`` + ``_spot_execute`` +
+The loop body is a line-for-line transliteration of one SKU lifecycle
+after another of ``DataCollector._pool_lifecycle`` + ``_spot_execute`` +
 ``AzureBatchBackend``'s task finalize/interrupt closures — same clock
 advances in the same order, same billing expressions (operand order
 included), same task-id numbering, same eviction draws keyed per
 (scenario, cumulative draw number) — so batched sweeps reproduce the
-sequential walk
-at parallelism 1 byte for byte.  The determinism goldens and the
+collector's default scheduled walk at ``max_parallel_pools=1`` byte for
+byte.  The determinism goldens and the
 Hypothesis equivalence suite in ``tests/test_batched_kernel.py`` pin this
 down; anything the kernel cannot reproduce exactly is rejected up front
 by :func:`batch_eligibility` and falls back to the per-object path.
@@ -102,7 +102,7 @@ def batch_eligibility(backend: ExecutionBackend, max_parallel_pools: int,
         return (f"backend {backend.name!r} is not the plain Azure Batch "
                 "substrate")
     if max_parallel_pools != 1:
-        return ("batched engine reproduces the sequential walk; "
+        return ("batched engine reproduces the one-pool walk; "
                 f"max_parallel_pools={max_parallel_pools} needs the "
                 "per-object scheduler")
     # Inlined covers(): one adapter lookup + key scan per scenario, no
@@ -128,9 +128,9 @@ def run_batched_sweep(collector: "DataCollector",
 
     ``ordered`` is the collector's sorted scenario walk; eligibility
     (:func:`batch_eligibility`) must already have passed.  Returns the
-    same :class:`~repro.core.collector.CollectionReport` the sequential
-    walk would have produced; the collector stamps engine/fallback and
-    infrastructure totals on it afterwards.
+    same :class:`~repro.core.collector.CollectionReport` the scheduled
+    walk would have produced; the collector stamps engine/fallback,
+    makespan and infrastructure totals on it afterwards.
     """
     backend: AzureBatchBackend = collector.backend
     service = backend.service
@@ -153,8 +153,7 @@ def run_batched_sweep(collector: "DataCollector",
     retry_failed = collector.retry_failed
     pending = TaskStatus.PENDING
 
-    report = collector._new_report(1)
-    provisioning_before = backend.provisioning_overhead_s
+    report = collector._new_report()
     previous_vmtype: Optional[str] = None
     # Per-SKU handles, refreshed on each VM-type switch so the hot loop
     # never re-derives pool ids (string munging) or re-looks-up pools.
@@ -198,12 +197,11 @@ def run_batched_sweep(collector: "DataCollector",
     draw_plans_get = draw_plans.get
 
     def run_once(scenario: Scenario) -> ScenarioRunResult:
-        """One spot scenario execution: ``_run_blocking`` transliterated.
+        """One spot scenario execution: ``DataCollector._spot_execute``
+        transliterated, with the backend's submit/finalize/interrupt
+        closures inlined.
 
-        (On-demand executions are inlined in the main loop below.)
-
-        DataCollector._spot_execute transliterated, with the backend's
-        submit/finalize/interrupt closures inlined."""
+        (On-demand executions are inlined in the main loop below.)"""
         nnodes = scenario.nnodes
         preemptions = 0
         checkpointed = 0.0
@@ -427,7 +425,7 @@ def run_batched_sweep(collector: "DataCollector",
                 attempts += 1
                 # A losing spot attempt may have ended in an eviction
                 # that reclaimed the node(s); grow the pool back before
-                # retrying (mirrors the sequential walk exactly).
+                # retrying (mirrors the scheduled walk exactly).
                 backend.ensure_capacity(sku_name, nnodes)
                 result = run_once(scenario)
             prof_recovery += perf() - t0
@@ -536,9 +534,6 @@ def run_batched_sweep(collector: "DataCollector",
             previous_vmtype, delete=collector.delete_pool_on_switch
         )
         prof_provision += perf() - t0
-    report.makespan_s = report.simulated_wall_s + (
-        backend.provisioning_overhead_s - provisioning_before
-    )
     profiler = collector._profiler
     profiler.add("setup", prof_setup)
     profiler.add("provision", prof_provision)

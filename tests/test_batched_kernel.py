@@ -3,8 +3,9 @@
 ``engine="batched"`` (:mod:`repro.simd`) replaces the per-object
 scheduler with a flat array walk, and its entire value rests on one
 promise: **byte-identical output** — the same DataPoints, the same
-TaskRecords, the same billing totals — as the sequential Algorithm-1
-walk at pool parallelism 1.  These tests pin that promise down:
+TaskRecords, the same billing totals and makespan — as the collector's
+default scheduled walk at pool parallelism 1.  These tests pin that
+promise down:
 
 * grid goldens per app, on-demand and seeded spot under every recovery
   policy, including failure paths (OOM, bad inputs);
@@ -39,14 +40,6 @@ from repro.simd.physics import ScenarioPhysics
 from tests.conftest import make_config
 
 
-class SequentialBackend(AzureBatchBackend):
-    """The sequential Algorithm-1 walk the equivalence contract names."""
-
-    @property
-    def supports_concurrency(self) -> bool:
-        return False
-
-
 def sweep(engine, appname="lammps", appinputs=None, skus=None,
           nnodes=None, capacity="ondemand", recovery="restart",
           eviction=None, retry_failed=0, store=None, on_progress=None):
@@ -57,10 +50,9 @@ def sweep(engine, appname="lammps", appinputs=None, skus=None,
         nnodes=nnodes or [1, 2, 3],
     )
     deployment = Deployer().deploy(config)
-    backend_cls = (SequentialBackend if engine == "object"
-                   else AzureBatchBackend)
     collector = DataCollector(
-        backend=backend_cls(service=deployment.batch, capacity=capacity),
+        backend=AzureBatchBackend(service=deployment.batch,
+                                  capacity=capacity),
         script=get_plugin(appname),
         dataset=Dataset(store=store),
         taskdb=TaskDB(store=store),
@@ -83,6 +75,8 @@ REPORT_FIELDS = ("executed", "completed", "failed", "skipped",
 def assert_equivalent(**kwargs):
     obj, obj_report = sweep("object", **kwargs)
     bat, bat_report = sweep("batched", **kwargs)
+    assert obj_report.engine == "object"
+    assert obj_report.max_parallel_pools == 1
     assert bat_report.engine == "batched", bat_report.engine_fallback
     assert ([p.to_dict() for p in obj.dataset.points()]
             == [p.to_dict() for p in bat.dataset.points()])
@@ -178,8 +172,8 @@ def test_batched_spot_profile_attributes_recovery_stage():
     assert report.preemptions > 0
     profile = report.profile
     # The whole interruption/retry drive (including the vectorized draw
-    # prefetch) lands in the recovery bucket, mirroring the sequential
-    # walk's attribution; "scenario" only appears for on-demand rows.
+    # prefetch) lands in the recovery bucket; "scenario" only appears
+    # for on-demand rows.
     for stage in ("provision", "setup", "persist", "recovery"):
         assert stage in profile, profile
     assert profile["recovery"] > 0.0
@@ -321,8 +315,11 @@ def test_batch_eligibility_reasons():
     assert "max_parallel_pools" in batch_eligibility(backend, 4, [ok])
     # Exact type check: a subclass may override behaviour the kernel
     # cannot see, so it must not be treated as the plain substrate.
-    sequential = SequentialBackend(service=batch)
-    assert batch_eligibility(sequential, 1, [ok]) is not None
+    class SubclassedBackend(AzureBatchBackend):
+        pass
+
+    subclassed = SubclassedBackend(service=batch)
+    assert batch_eligibility(subclassed, 1, [ok]) is not None
 
 
 def test_requested_batched_falls_back_with_reason():

@@ -5,6 +5,7 @@ import pytest
 from repro.appkit.plugins import get_plugin
 from repro.backends.azurebatch import AzureBatchBackend, pool_id_for
 from repro.backends.base import AsyncOp, ExecutionBackend, ScenarioRunResult
+from repro.clock import SimClock
 from repro.core.collector import DataCollector
 from repro.core.dataset import Dataset
 from repro.core.deployer import Deployer
@@ -50,32 +51,33 @@ class TestDeterminism:
             appinputs={"BOXFACTOR": ["4", "8"]},
         )
 
-    def test_parallel_one_reproduces_sequential_exactly(self, monkeypatch):
-        """The scheduler at 1 pool equals the literal Algorithm-1 walk —
-        every data point byte-identical, timestamps included."""
+    def test_parallel_one_reproduces_sequential_exactly(self):
+        """The scheduler at 1 pool is Algorithm 1's sequential walk; the
+        batched kernel transliterates that walk, so the two agree on
+        every data point, timestamps included."""
         config = self.sweep_config()
         scheduled, _ = build(config, max_parallel_pools=1)
         scheduled_report = scheduled.collect(generate_scenarios(config))
 
-        sequential, _ = build(config)
-        monkeypatch.setattr(AzureBatchBackend, "supports_concurrency",
-                            property(lambda self: False))
-        sequential_report = sequential.collect(generate_scenarios(config))
+        batched, _ = build(config, engine="batched")
+        batched_report = batched.collect(generate_scenarios(config))
+        assert batched_report.engine == "batched"
 
         assert point_dicts(scheduled.dataset) == point_dicts(
-            sequential.dataset
+            batched.dataset
         )
         assert ([r.to_dict() for r in scheduled.taskdb.all()]
-                == [r.to_dict() for r in sequential.taskdb.all()])
-        assert scheduled_report.executed == sequential_report.executed
-        assert scheduled_report.completed == sequential_report.completed
-        assert scheduled_report.task_cost_usd == sequential_report.task_cost_usd
+                == [r.to_dict() for r in batched.taskdb.all()])
+        assert scheduled_report.executed == batched_report.executed
+        assert scheduled_report.completed == batched_report.completed
+        assert scheduled_report.task_cost_usd == batched_report.task_cost_usd
         assert (scheduled_report.simulated_wall_s
-                == sequential_report.simulated_wall_s)
+                == batched_report.simulated_wall_s)
         assert (scheduled_report.infrastructure_cost_usd
-                == sequential_report.infrastructure_cost_usd)
+                == batched_report.infrastructure_cost_usd)
+        assert scheduled_report.makespan_s == batched_report.makespan_s
 
-    def test_parallel_one_reproduces_sequential_with_noise(self, monkeypatch):
+    def test_parallel_one_reproduces_sequential_with_noise(self):
         """Noise is seeded per scenario, so equality survives it."""
         from repro.perf.noise import NoiseModel
 
@@ -84,14 +86,12 @@ class TestDeterminism:
         scheduled.backend.noise = NoiseModel(sigma=0.05, seed=7)
         scheduled.collect(generate_scenarios(config))
 
-        sequential, dep_b = build(config)
-        sequential.backend.noise = NoiseModel(sigma=0.05, seed=7)
-        monkeypatch.setattr(AzureBatchBackend, "supports_concurrency",
-                            property(lambda self: False))
-        sequential.collect(generate_scenarios(config))
+        batched, dep_b = build(config, engine="batched")
+        batched.backend.noise = NoiseModel(sigma=0.05, seed=7)
+        assert batched.collect(generate_scenarios(config)).engine == "batched"
 
         assert point_dicts(scheduled.dataset) == point_dicts(
-            sequential.dataset
+            batched.dataset
         )
 
     def test_measurements_identical_at_any_parallelism(self):
@@ -212,30 +212,43 @@ class FailingSetupBackend(AzureBatchBackend):
 
 
 class BlockingStubBackend(ExecutionBackend):
-    """Blocking-only backend recording calls; setup fails on bad_sku."""
+    """Split-phase stub over its own clock, recording calls.
+
+    Provisioning and setup are instantaneous, every scenario takes 10 s
+    of simulated time, and setup fails on ``bad_sku``.
+    """
 
     bad_sku = "Standard_HC44rs"
 
-    def __init__(self):
+    def __init__(self, start_at=0.0):
         self.calls = []
+        self._clock = SimClock(now=start_at)
 
     @property
     def name(self):
         return "stub"
 
-    def ensure_capacity(self, sku_name, nodes):
+    @property
+    def clock(self):
+        return self._clock
+
+    def submit_provision(self, sku_name, nodes):
         self.calls.append(("ensure", sku_name, nodes))
+        return AsyncOp(self.clock.now, lambda: None)
 
-    def run_setup(self, sku_name, script):
+    def submit_setup(self, sku_name, script):
         self.calls.append(("setup", sku_name))
-        return sku_name != self.bad_sku
+        return AsyncOp(self.clock.now, lambda: sku_name != self.bad_sku)
 
-    def run_scenario(self, scenario, script):
+    def submit_scenario(self, scenario, script, resume_from_s=0.0,
+                        restart_overhead_s=0.0):
         self.calls.append(("run", scenario.sku_name, scenario.nnodes))
-        return ScenarioRunResult(
+        started = self.clock.now
+        result = ScenarioRunResult(
             succeeded=True, exec_time_s=10.0, cost_usd=0.01,
-            stdout="", started_at=0.0, finished_at=10.0,
+            stdout="", started_at=started, finished_at=started + 10.0,
         )
+        return AsyncOp(started + 10.0, lambda: result)
 
     def release_capacity(self, sku_name, delete):
         self.calls.append(("release", sku_name))
@@ -253,16 +266,22 @@ class BlockingStubBackend(ExecutionBackend):
 
 
 class ProvisioningStub(BlockingStubBackend):
-    """Blocking stub that accrues 33s of boot wait per capacity request,
-    on top of 42s left over from an earlier sweep (cumulative counter)."""
+    """Stub whose pools boot for 33 s whenever they grow.  Its clock
+    and its cumulative boot counter both start at 42 s, left over from
+    an earlier sweep."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(start_at=42.0)
         self._prov = 42.0
+        self._nodes = {}
 
-    def ensure_capacity(self, sku_name, nodes):
-        super().ensure_capacity(sku_name, nodes)
+    def submit_provision(self, sku_name, nodes):
+        super().submit_provision(sku_name, nodes)
+        if nodes <= self._nodes.get(sku_name, 0):
+            return AsyncOp(self.clock.now, lambda: None)
+        self._nodes[sku_name] = nodes
         self._prov += 33.0
+        return AsyncOp(self.clock.now + 33.0, lambda: None)
 
     @property
     def provisioning_overhead_s(self):
@@ -277,9 +296,10 @@ class TestSequentialFallbackMakespan:
             dataset=Dataset(), taskdb=TaskDB(),
         )
         report = collector.collect(generate_scenarios(config))
-        # 10s of task time + 33s booted this sweep; the 42s already on
-        # the backend's cumulative counter must not leak in.
-        assert report.makespan_s == pytest.approx(10.0 + 33.0)
+        # 33s booted this sweep + 10s of task time; the 42s already on
+        # the backend's clock and cumulative counter must not leak in.
+        assert report.makespan_s == pytest.approx(33.0 + 10.0)
+        assert report.provisioning_overhead_s == pytest.approx(33.0)
 
 
 class TestSetupFailurePoisonsSku:
@@ -328,15 +348,49 @@ class TestSetupFailurePoisonsSku:
         )
         report = collector.collect(generate_scenarios(config))
 
-        # The poisoned SKU saw exactly one setup attempt — no capacity
-        # request and no scenario execution afterwards.
+        # The poisoned SKU saw exactly one setup attempt on the one node
+        # the scheduler boots first — no further capacity request and no
+        # scenario execution afterwards, then its pool is released.
         bad = BlockingStubBackend.bad_sku
-        assert ("setup", bad) in backend.calls
-        assert not any(c[0] in ("ensure", "run") and c[1] == bad
-                       for c in backend.calls)
+        assert [c for c in backend.calls if c[1] == bad] == [
+            ("ensure", bad, 1), ("setup", bad), ("release", bad),
+        ]
         failed = [r for r in collector.taskdb.all()
                   if r.status is TaskStatus.FAILED]
         assert {r.scenario.sku_name for r in failed} == {bad}
         assert len(failed) == 2
         assert report.failed == 2
         assert report.completed == 2
+
+
+class TestPerSweepDeltas:
+    @pytest.mark.parametrize("engine", ["object", "batched"])
+    def test_second_sweep_reports_only_its_own_numbers(self, engine):
+        """The backend's clock and cost counters are cumulative; each
+        report carries only the share its own sweep added."""
+        config = make_config(skus=THREE_SKUS[:2], nnodes=[1, 2])
+        first, _ = build(config, engine=engine)
+        backend = first.backend
+        report_1 = first.collect(generate_scenarios(config))
+        infra_1 = backend.total_infrastructure_cost_usd
+        provisioning_1 = backend.provisioning_overhead_s
+        clock_1 = backend.clock.now
+        assert report_1.infrastructure_cost_usd == infra_1
+        assert report_1.provisioning_overhead_s == provisioning_1
+
+        # A fresh task DB on the same backend runs the grid again.
+        second = DataCollector(
+            backend=backend, script=first.script, dataset=Dataset(),
+            taskdb=TaskDB(), engine=engine,
+        )
+        report_2 = second.collect(generate_scenarios(config))
+        assert report_2.engine == engine
+        assert report_2.executed == 4
+        assert 0.0 < report_2.infrastructure_cost_usd < (
+            backend.total_infrastructure_cost_usd)
+        assert report_2.infrastructure_cost_usd == pytest.approx(
+            backend.total_infrastructure_cost_usd - infra_1)
+        assert report_2.provisioning_overhead_s == pytest.approx(
+            backend.provisioning_overhead_s - provisioning_1)
+        assert report_2.makespan_s == pytest.approx(
+            backend.clock.now - clock_1)

@@ -293,31 +293,28 @@ class TestSpotGuards:
 class TestDeterminismGoldens:
     """Same ``eviction_seed`` => identical outcome, any schedule."""
 
-    def sweep(self, parallel=1, seed=11, sequential=False,
-              monkeypatch=None):
+    def sweep(self, parallel=1, seed=11, engine="auto"):
         config = spot_config(appinputs={"BOXFACTOR": ["16", "30"]})
         collector, _ = build(
             config, recovery="checkpoint_restart",
             checkpoint_interval_s=5.0, checkpoint_overhead_s=1.0,
             eviction=EvictionModel.flat(FIRM, seed=seed),
             max_preemptions=500, max_parallel_pools=parallel,
+            engine=engine,
         )
-        if sequential:
-            monkeypatch.setattr(
-                AzureBatchBackend, "supports_concurrency",
-                property(lambda self: False),
-            )
         report = collector.collect(generate_scenarios(config))
         return report, collector
 
-    def test_scheduled_equals_sequential_byte_identical(self, monkeypatch):
-        """The event-driven walk at 1 pool reproduces the blocking walk
-        exactly — eviction timestamps included."""
+    def test_scheduled_equals_sequential_byte_identical(self):
+        """The event-driven walk at 1 pool and the batched kernel's flat
+        transliteration of it agree exactly — eviction timestamps
+        included."""
         _, scheduled = self.sweep(parallel=1)
-        _, sequential = self.sweep(sequential=True, monkeypatch=monkeypatch)
-        assert full_dicts(scheduled.dataset) == full_dicts(sequential.dataset)
+        report, batched = self.sweep(engine="batched")
+        assert report.engine == "batched"
+        assert full_dicts(scheduled.dataset) == full_dicts(batched.dataset)
         assert ([r.to_dict() for r in scheduled.taskdb.all()]
-                == [r.to_dict() for r in sequential.taskdb.all()])
+                == [r.to_dict() for r in batched.taskdb.all()])
 
     def test_same_seed_identical_report_across_parallelism(self, monkeypatch):
         """ISSUE golden: same eviction_seed => identical CollectionReport

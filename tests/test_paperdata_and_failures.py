@@ -3,7 +3,8 @@
 import pytest
 
 from repro.appkit.plugins import get_plugin
-from repro.backends.base import ExecutionBackend, ScenarioRunResult
+from repro.backends.base import AsyncOp, ExecutionBackend, ScenarioRunResult
+from repro.clock import SimClock
 from repro.core.advisor import Advisor
 from repro.core.collector import DataCollector
 from repro.core.dataset import Dataset
@@ -53,32 +54,44 @@ class TestPaperConstants:
 
 
 class CrashingBackend(ExecutionBackend):
-    """A back-end that dies after N scenarios (control-plane outage)."""
+    """A back-end that dies after N scenarios (control-plane outage).
+
+    Split-phase over its own clock: provisioning and setup are
+    instantaneous, each scenario takes 10 s of simulated time.
+    """
 
     def __init__(self, crash_after: int):
         self.crash_after = crash_after
         self.ran = 0
+        self._clock = SimClock()
 
     @property
     def name(self):
         return "crashing"
 
-    def ensure_capacity(self, sku_name, nodes):
-        pass
+    @property
+    def clock(self):
+        return self._clock
 
-    def run_setup(self, sku_name, script):
-        return True
+    def submit_provision(self, sku_name, nodes):
+        return AsyncOp(self.clock.now, lambda: None)
 
-    def run_scenario(self, scenario, script) -> ScenarioRunResult:
+    def submit_setup(self, sku_name, script):
+        return AsyncOp(self.clock.now, lambda: True)
+
+    def submit_scenario(self, scenario, script, resume_from_s=0.0,
+                        restart_overhead_s=0.0):
         if self.ran >= self.crash_after:
             raise BackendError("control plane unavailable")
         self.ran += 1
-        return ScenarioRunResult(
+        started = self.clock.now
+        result = ScenarioRunResult(
             succeeded=True, exec_time_s=10.0, cost_usd=0.01,
             stdout="HPCADVISORVAR APPEXECTIME=10\n",
             app_vars={"APPEXECTIME": "10"},
-            started_at=0.0, finished_at=10.0,
+            started_at=started, finished_at=started + 10.0,
         )
+        return AsyncOp(started + 10.0, lambda: result)
 
     def release_capacity(self, sku_name, delete):
         pass

@@ -96,45 +96,36 @@ class TestBackendParity:
             points[backend] = session.dataset(info.name).points()
         assert points["jsonl"] == points["sqlite"]
 
-    def _sweep(self, state_dir, sequential_walk, monkeypatch):
-        """One full sweep; ``sequential_walk`` forces Algorithm 1's
-        literal blocking loop instead of the scheduler at 1 pool."""
-        from repro.backends.azurebatch import AzureBatchBackend
-
-        if sequential_walk:
-            monkeypatch.setattr(AzureBatchBackend, "supports_concurrency",
-                                property(lambda self: False))
+    def _sweep(self, state_dir, engine):
+        """One full sweep at 1 pool on the given execution engine."""
         session = AdvisorSession(state_dir=state_dir)
         info = session.deploy(_config())
-        session.collect(deployment=info.name, max_parallel_pools=1)
-        monkeypatch.undo()
+        result = session.collect(deployment=info.name, max_parallel_pools=1,
+                                 engine=engine)
+        assert result.engine == engine
         return session, info
 
     def test_scheduled_and_sequential_files_are_byte_identical(
             self, tmp_path, monkeypatch):
-        """The incremental write path preserves the scheduler-equals-
-        sequential guarantee down to the stored JSONL bytes."""
+        """The incremental write path keeps the default walk and the
+        batched kernel equal down to the stored JSONL bytes."""
         monkeypatch.setenv("REPRO_STORE", "jsonl")
         blobs = {}
-        for label, walk in (("sched", False), ("seq", True)):
-            session, info = self._sweep(str(tmp_path / label), walk,
-                                        monkeypatch)
-            monkeypatch.setenv("REPRO_STORE", "jsonl")
+        for engine in ("object", "batched"):
+            session, info = self._sweep(str(tmp_path / engine), engine)
             path = session.store.dataset_path(info.name)
             with open(path, "rb") as fh:
-                blobs[label] = fh.read()
-        assert blobs["sched"] == blobs["seq"]
+                blobs[engine] = fh.read()
+        assert blobs["object"] == blobs["batched"]
 
     def test_scheduled_and_sequential_sqlite_rows_identical(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "sqlite")
         rows = {}
-        for label, walk in (("sched", False), ("seq", True)):
-            session, info = self._sweep(str(tmp_path / label), walk,
-                                        monkeypatch)
-            monkeypatch.setenv("REPRO_STORE", "sqlite")
-            rows[label] = session.data_store(info.name).query_points()
-        assert rows["sched"] == rows["seq"]
+        for engine in ("object", "batched"):
+            session, info = self._sweep(str(tmp_path / engine), engine)
+            rows[engine] = session.data_store(info.name).query_points()
+        assert rows["object"] == rows["batched"]
 
     def test_higher_parallelism_keeps_measurements_identical(
             self, tmp_path, backend):
